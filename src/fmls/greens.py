@@ -10,7 +10,11 @@ two signs of X:
             rho = (alpha-1)/alpha, evaluated at |X|
 
 Both integrands decay exponentially in |y|, so a trapezoid rule along the
-line converges geometrically; the step is halved until the result settles.
+line converges geometrically.  The step is halved until the result settles,
+by nested refinement: each halving evaluates the ratio only at the new odd
+nodes and reuses the previous level's sum, so every contour node is
+evaluated once.  The oscillatory sum is taken in real arithmetic (cosine and
+sine against the real and imaginary parts of the ratio).
 Gamma ratios are assembled in log space (direct products overflow for
 moderate |y|).  The same machinery exposes the classical identity
 exp(-x) = integral of Gamma(s) x^{-s} along Re(s) = c as a self-test.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +68,9 @@ class MellinLineSettings:
     """Contour abscissa, truncation, and step of the vertical-line trapezoid.
 
     ``step=None`` halves the step from 0.25 until the result moves by less
-    than 1e-11.
+    than 1e-11 (or than its roundoff floor), evaluating at each halving only
+    the new odd nodes; the 0.25 level reuses the decay probe's values.  A
+    fixed ``step`` takes a single trapezoid level with that step.
     """
 
     c1: float = 0.5
@@ -96,6 +102,23 @@ def _line_ratio(ys: np.ndarray, alpha: float, c1: float, negative: bool) -> np.n
     return np.exp(lg)
 
 
+def _phase_sum(log_x: np.ndarray, ys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Re sum_k coeffs_k * e^{i*ys_k*log_x} for each entry of ``log_x``.
+
+    Summed in real arithmetic, cos(phase) @ Re(coeffs) - sin(phase) @
+    Im(coeffs), which needs no complex exponential and keeps every
+    temporary matrix real.
+    """
+    re = np.ascontiguousarray(coeffs.real)
+    im = np.ascontiguousarray(coeffs.imag)
+    out = np.empty(log_x.size)
+    for lo in range(0, log_x.size, _CHUNK):
+        hi = min(lo + _CHUNK, log_x.size)
+        phase = np.outer(log_x[lo:hi], ys)
+        out[lo:hi] = np.cos(phase) @ re - np.sin(phase, out=phase) @ im
+    return out
+
+
 def _half_line_transform(
     log_x: np.ndarray,
     ratio_fn,
@@ -103,13 +126,20 @@ def _half_line_transform(
     prefactor: np.ndarray | float,
 ) -> np.ndarray:
     """Evaluate prefactor * int_0^inf Re[ratio(y) * e^{i*y*log_x}] dy for a
-    vector of log_x, by trapezoid-with-halving along the contour.
+    vector of log_x, by nested trapezoid refinement along the contour.
 
     ``ratio_fn(ys)`` must return the contour integrand without the x-power;
     conjugate symmetry of the full line is already folded in (the factor 2
     and 1/(2*pi) belong to ``prefactor``).  ``prefactor`` may vary per point
     and is applied before the convergence check, so the step tolerance is in
     final (output) units.
+
+    A probe at step 0.25 out to ``y_max`` finds where the ratio drops below
+    the cutoff; its nodes up to there are the first trapezoid level.  Each
+    halving evaluates ``ratio_fn`` only at the new odd nodes and updates
+    T(h/2) = T(h)/2 + (h/2) * sum over the odd nodes, so every contour node
+    is evaluated once.  With a fixed ``settings.step`` a single trapezoid
+    level is taken instead.
     """
     # Probe the decay on a coarse grid to find the effective truncation.
     probe = np.arange(0.0, settings.y_max + _H_START, _H_START)
@@ -121,31 +151,37 @@ def _half_line_transform(
             "increase y_max"
         )
     big = np.nonzero(mags >= _RATIO_CUTOFF)[0]
-    y_eff = probe[int(big[-1])] + _H_START if big.size else _H_START
-
-    def level(h: float) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.arange(0.0, y_eff + 0.5 * h, h)
-        ratio = ratio_fn(ys)
-        weights = np.full(ys.size, h)
-        weights[0] = 0.5 * h
-        weights[-1] = 0.5 * h
-        out = np.empty(log_x.size)
-        for lo in range(0, log_x.size, _CHUNK):
-            hi = min(lo + _CHUNK, log_x.size)
-            osc = np.exp(1j * np.outer(log_x[lo:hi], ys))
-            out[lo:hi] = (osc @ (weights * ratio)).real
-        # Roundoff floor of the (possibly amplified) sum; convergence below
-        # it cannot be demanded.
-        noise = np.abs(prefactor) * float(np.dot(weights, np.abs(ratio))) * 1e-16
-        return prefactor * out, noise
+    n = int(big[-1]) + 1 if big.size else 1  # intervals of width _H_START
+    y_eff = n * _H_START
 
     if settings.step is not None:
-        return level(settings.step)[0]
+        h = settings.step
+        ys = np.arange(0.0, y_eff + 0.5 * h, h)
+        weighted = h * ratio_fn(ys)
+        weighted[0] *= 0.5
+        weighted[-1] *= 0.5
+        return prefactor * _phase_sum(log_x, ys, weighted)
+
     h = _H_START
-    current, _ = level(h)
+    weighted = h * ratio_probe[: n + 1]
+    if weighted.size <= n:  # the cutoff lies past the probe's last node
+        weighted = np.append(weighted, h * ratio_fn(np.array([y_eff])))
+    weighted[0] *= 0.5
+    weighted[-1] *= 0.5
+    total = _phase_sum(log_x, h * np.arange(n + 1), weighted)
+    # Trapezoid sum of |ratio|: the roundoff floor of the (possibly
+    # amplified) sum; convergence below it cannot be demanded.
+    abs_total = float(np.sum(np.abs(weighted)))
+    current = prefactor * total
     for _ in range(_MAX_HALVINGS):
         h *= 0.5
-        refined, noise = level(h)
+        ys = h * np.arange(1, 2 * n, 2)
+        ratio = ratio_fn(ys)
+        total = 0.5 * total + h * _phase_sum(log_x, ys, ratio)
+        abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
+        n *= 2
+        refined = prefactor * total
+        noise = np.abs(prefactor) * abs_total * 1e-16
         if np.all(np.abs(refined - current) < np.maximum(_STEP_TOL, 8.0 * noise)):
             return refined
         current = refined
@@ -319,29 +355,29 @@ def default_pricing_grid(
     """Grid the convolution pricer uses when none is supplied.
 
     ``refine`` widens the grid by 6 scale units and quadruples the interval
-    count per level, re-widening further while the boundary still leaks;
-    increasing levels drive the discrete sum toward the series price.
+    count per level, re-widening (up to three times) while the scaled edge
+    density exceeds ``DEFAULT_BOUNDARY_TOL``; increasing levels drive the
+    discrete sum toward the series price.  The grid is renormalized to unit
+    mass and no :class:`BoundaryMassWarning` is emitted.
     """
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     for _ in range(4):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundaryMassWarning)
-            grid = build_density_grid(
-                model.alpha,
-                model.mu,
-                spec.tau,
-                y_min=-half_width * scale,
-                y_max=half_width * scale,
-                n_points=n_points,
-                settings=settings,
-                renormalize=True,
-            )
-        if not any(issubclass(w.category, BoundaryMassWarning) for w in caught):
+        grid = build_density_grid(
+            model.alpha,
+            model.mu,
+            spec.tau,
+            y_min=-half_width * scale,
+            y_max=half_width * scale,
+            n_points=n_points,
+            settings=settings,
+            boundary_tol=math.inf,
+        )
+        if max(grid.values[0], grid.values[-1]) * scale <= DEFAULT_BOUNDARY_TOL:
             break
         half_width *= 1.5
-    return grid
+    return replace(grid, values=grid.values / grid.mass())
 
 
 def discretized_price(

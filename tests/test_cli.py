@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmls
 from fmls.cli import main
 from fmls.model import OptionSpec, StableModel
 from fmls.series import Truncation, convergence_table, price_series
@@ -27,6 +30,19 @@ def run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv):
+    """Run ``python -m fmls`` in a child process on the same package as the
+    in-process tests, whether or not PYTHONPATH names it."""
+    src = str(Path(fmls.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fmls", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestPriceCommand:
@@ -200,11 +216,8 @@ class TestDensityCommand:
         assert mass == pytest.approx(1.0, abs=1e-4)
 
     def test_low_alpha_warns_on_stderr(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fmls", "density", "--alpha", "1.5",
-             "--sigma", "0.2", "--tau", "1", "--points", "5"],
-            capture_output=True,
-            text=True,
+        proc = run_module(
+            ["density", "--alpha", "1.5", "--sigma", "0.2", "--tau", "1", "--points", "5"]
         )
         assert proc.returncode == 0
         assert "grid edge" in proc.stderr
@@ -243,17 +256,11 @@ class TestImpliedVolCommand:
 
 class TestModuleInvocation:
     def test_subprocess_price(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fmls"] + PRICE_ARGS + ["--format", "json"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module(PRICE_ARGS + ["--format", "json"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["price"] == pytest.approx(256.035, abs=0.001)
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fmls", "--help"], capture_output=True, text=True
-        )
+        proc = run_module(["--help"])
         assert proc.returncode == 0
         assert "price" in proc.stdout

@@ -188,6 +188,19 @@ class TestDiscretizedPrice:
         want = price_series(m, s).price
         assert abs(got - want) / want <= 0.01
 
+    def test_default_grid_widens_only_where_the_edge_leaks(self):
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
+                m = StableModel.from_spec(s, alpha)
+                scale = (-m.mu * s.tau) ** (1.0 / alpha)
+                grid = default_pricing_grid(m, s)
+                half_width = 16.5 if alpha < 1.7 else 11.0  # one widening by 1.5
+                assert grid.y_min == pytest.approx(-half_width * scale, rel=1e-12)
+                assert grid.y_max == pytest.approx(half_width * scale, rel=1e-12)
+                assert grid.mass() == pytest.approx(1.0, abs=1e-12)
+
     def test_result_metadata(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.8)
