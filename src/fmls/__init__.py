@@ -9,12 +9,7 @@ Four engines share one set of market/model records:
 - ``bs_price``: the Black-Scholes closed form, exact at stability index 2.
 """
 
-from .bs import (
-    atmf_term_alternating,
-    atmf_term_half_integer_gamma,
-    bs_atmf_price,
-    bs_price,
-)
+from .bs import bs_atmf_price, bs_price
 from .charfn import QuadratureSettings, char_fn, gil_pelaez_price
 from .errors import (
     ConvergenceError,
@@ -27,7 +22,6 @@ from .greens import (
     DensityGrid,
     MellinLineSettings,
     build_density_grid,
-    cahen_mellin_exp,
     default_pricing_grid,
     discretized_price,
     stable_density,
@@ -75,12 +69,9 @@ __all__ = [
     "StableModel",
     "Truncation",
     "atmf_bs_series",
-    "atmf_term_alternating",
-    "atmf_term_half_integer_gamma",
     "bs_atmf_price",
     "bs_price",
     "build_density_grid",
-    "cahen_mellin_exp",
     "char_fn",
     "convergence_table",
     "default_pricing_grid",

@@ -1,14 +1,17 @@
 """Command-line surface: pricing, table reproduction, engine comparison,
 density export, and implied volatility.
 
-Exit codes: 0 success, 2 input validation, 3 numerical failure.  JSON and
-CSV output serialize floats with 17 significant digits ('.' decimal
-separator, LF line endings), enough to round-trip doubles exactly.
+Exit codes: 0 success, 2 input validation, 3 numerical failure.  JSON is
+written by the standard library's ``json`` module, whose floats are the
+shortest ``repr`` that round-trips each double exactly; CSV writes floats
+with 17 significant digits.  Both use a '.' decimal separator and LF line
+endings.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Any
 
@@ -24,25 +27,8 @@ _ENGINE_FLAGS = ("series", "gilpelaez", "discretization", "bs")
 
 
 def _f(x: Any) -> str:
-    """17-significant-digit rendering used by both JSON and CSV output."""
+    """17-significant-digit rendering of CSV floats."""
     return format(float(x), ".17g")
-
-
-def _json_render(obj: Any) -> str:
-    if isinstance(obj, dict):
-        inner = ", ".join(f'"{k}": {_json_render(v)}' for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_render(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _f(obj)
-    if obj is None:
-        return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _spec_from_args(args: argparse.Namespace) -> OptionSpec:
@@ -95,7 +81,7 @@ def _emit_result(result: PricingResult, fmt: str) -> None:
             "error_estimate": result.error_estimate,
             "diagnostics": dict(result.diagnostics),
         }
-        print(_json_render(payload))
+        print(json.dumps(payload))
     elif fmt == "csv":
         print("price,engine,terms_used,error_estimate")
         print(
@@ -121,16 +107,15 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     model = StableModel.from_spec(spec, args.alpha)
-    trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
-    table = convergence_table(model, spec, trunc)
+    table = convergence_table(model, spec, Truncation(n_max=args.nmax, m_max=args.mmax))
     ms = list(range(1, args.mmax + 1))
     if args.format == "json":
         payload = {
-            "terms": [[float(v) for v in row] for row in table.terms],
-            "partial_sums": [float(v) for v in table.partial_sums],
+            "terms": table.terms.tolist(),
+            "partial_sums": table.partial_sums.tolist(),
             "converged_price": table.converged_price,
         }
-        print(_json_render(payload))
+        print(json.dumps(payload))
     elif args.format == "csv":
         print("n," + ",".join(str(m) for m in ms))
         for n, row in enumerate(table.terms):
@@ -174,7 +159,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             rows.append({"spot": spot, "engine": engine, "prices": prices, "notes": notes})
     if args.format == "json":
         payload = {"alphas": alphas, "rows": rows}
-        print(_json_render(payload))
+        print(json.dumps(payload))
     elif args.format == "csv":
         print("spot,engine,alpha,price")
         for row in rows:
@@ -193,8 +178,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    from .model import martingale_drift
-
     mu = martingale_drift(args.sigma, args.alpha)
     grid = build_density_grid(
         args.alpha,
@@ -222,7 +205,7 @@ def _cmd_implied_vol(args: argparse.Namespace) -> int:
         tol=args.tol,
     )
     if args.format == "json":
-        print(_json_render({"sigma": sigma}))
+        print(json.dumps({"sigma": sigma}))
     elif args.format == "csv":
         print("sigma")
         print(_f(sigma))
@@ -271,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--mmax", type=int, default=7)
-    p.add_argument("--tol", type=float, default=0.0)
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_table)
 

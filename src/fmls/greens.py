@@ -65,25 +65,21 @@ class BoundaryMassWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MellinLineSettings:
-    """Contour abscissa, truncation, and step of the vertical-line trapezoid.
+    """Contour abscissa and truncation of the vertical-line trapezoid.
 
-    ``step=None`` halves the step from 0.25 until the result moves by less
+    The trapezoid halves its step from 0.25 until the result moves by less
     than 1e-11 (or than its roundoff floor), evaluating at each halving only
-    the new odd nodes; the 0.25 level reuses the decay probe's values.  A
-    fixed ``step`` takes a single trapezoid level with that step.
+    the new odd nodes; the 0.25 level reuses the decay probe's values.
     """
 
     c1: float = 0.5
     y_max: float = 400.0
-    step: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.c1 < 1.0):
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1!r}")
         if not (self.y_max > 0.0 and math.isfinite(self.y_max)):
             raise ValueError(f"y_max must be positive and finite, got {self.y_max!r}")
-        if self.step is not None and not (0.0 < self.step < self.y_max):
-            raise ValueError(f"step must lie in (0, y_max), got {self.step!r}")
 
 
 def _line_ratio(ys: np.ndarray, alpha: float, c1: float, negative: bool) -> np.ndarray:
@@ -138,8 +134,7 @@ def _half_line_transform(
     the cutoff; its nodes up to there are the first trapezoid level.  Each
     halving evaluates ``ratio_fn`` only at the new odd nodes and updates
     T(h/2) = T(h)/2 + (h/2) * sum over the odd nodes, so every contour node
-    is evaluated once.  With a fixed ``settings.step`` a single trapezoid
-    level is taken instead.
+    is evaluated once.
     """
     # Probe the decay on a coarse grid to find the effective truncation.
     probe = np.arange(0.0, settings.y_max + _H_START, _H_START)
@@ -153,14 +148,6 @@ def _half_line_transform(
     big = np.nonzero(mags >= _RATIO_CUTOFF)[0]
     n = int(big[-1]) + 1 if big.size else 1  # intervals of width _H_START
     y_eff = n * _H_START
-
-    if settings.step is not None:
-        h = settings.step
-        ys = np.arange(0.0, y_eff + 0.5 * h, h)
-        weighted = h * ratio_fn(ys)
-        weighted[0] *= 0.5
-        weighted[-1] *= 0.5
-        return prefactor * _phase_sum(log_x, ys, weighted)
 
     h = _H_START
     weighted = h * ratio_probe[: n + 1]

@@ -10,14 +10,17 @@ with L the log-forward-moneyness.  Terms whose Gamma argument lands on a
 non-positive integer vanish identically (the reciprocal Gamma is exact
 zero there), which is what truncates the sum so quickly in practice.
 
-Summation is m-major (column by column) with Kahan compensation so partial
-sums are reproducible; each term's magnitude is assembled in log space,
-which turns intermediate overflow into an explicit error instead of inf.
+One m-major (column by column) sum with term-by-term Kahan compensation
+serves both views: the early-stopping price and the full convergence table
+read the same running total, so the table's last partial sum is the price.
+Each term's magnitude is assembled in log space, which turns intermediate
+overflow into an explicit error instead of inf.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,22 +119,32 @@ def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
     return sign * math.exp(log_mag)
 
 
-def _column_sums(
-    model: StableModel, spec: OptionSpec, trunc: Truncation
-) -> tuple[np.ndarray, np.ndarray]:
-    """All terms on the truncation rectangle: (terms matrix, |column| sums)."""
-    terms = np.empty((trunc.n_max + 1, trunc.m_max))
-    for m in range(1, trunc.m_max + 1):
-        for n in range(trunc.n_max + 1):
-            terms[n, m - 1] = series_term(model, spec, n, m)
-    return terms, np.abs(terms).sum(axis=0)
-
-
 def _kahan_add(total: float, comp: float, value: float) -> tuple[float, float]:
     y = value - comp
     t = total + y
     comp = (t - total) - y
     return t, comp
+
+
+def _columns(
+    model: StableModel, spec: OptionSpec, trunc: Truncation
+) -> Iterator[tuple[list[float], float, float]]:
+    """Yield (terms, running total, |column| sum) for m = 1, ..., m_max.
+
+    Terms are summed in m-major order with term-by-term Kahan compensation;
+    the running total includes every column yielded so far.
+    """
+    total = 0.0
+    comp = 0.0
+    for m in range(1, trunc.m_max + 1):
+        terms = []
+        col_abs = 0.0
+        for n in range(trunc.n_max + 1):
+            t = series_term(model, spec, n, m)
+            total, comp = _kahan_add(total, comp, t)
+            col_abs += abs(t)
+            terms.append(t)
+        yield terms, total, col_abs
 
 
 def price_series(
@@ -146,19 +159,9 @@ def price_series(
     tail_tol = trunc.resolve_tail_tol(spec.strike)
     base = -model.log_fwd - model.mu * spec.tau
 
-    total = 0.0
-    comp = 0.0
-    terms_used = 0
-    col_abs = math.inf
-    columns_done = 0
-    for m in range(1, trunc.m_max + 1):
-        col_abs = 0.0
-        for n in range(trunc.n_max + 1):
-            t = series_term(model, spec, n, m)
-            total, comp = _kahan_add(total, comp, t)
-            col_abs += abs(t)
-            terms_used += 1
-        columns_done = m
+    for columns_used, (_, total, col_abs) in enumerate(
+        _columns(model, spec, trunc), start=1
+    ):
         if tail_tol > 0.0 and col_abs < tail_tol:
             break
     else:
@@ -169,7 +172,7 @@ def price_series(
             )
 
     diagnostics: dict[str, object] = {
-        "columns_used": columns_done,
+        "columns_used": columns_used,
         "last_column_abs": col_abs,
     }
     if base <= 0.0:
@@ -183,7 +186,7 @@ def price_series(
     return PricingResult(
         price=price,
         engine="series",
-        terms_used=terms_used,
+        terms_used=columns_used * (trunc.n_max + 1),
         error_estimate=col_abs,
         diagnostics=diagnostics,
     )
@@ -192,21 +195,19 @@ def price_series(
 def convergence_table(
     model: StableModel, spec: OptionSpec, trunc: Truncation | None = None
 ) -> SeriesTable:
-    """Full term matrix over the rectangle plus cumulative column sums."""
+    """Full term matrix over the rectangle plus cumulative column sums.
+
+    Always fills the whole rectangle: ``tail_tol`` is not read, so there is
+    no early stop and no convergence check.  The sum is the one
+    :func:`price_series` takes, so ``converged_price`` equals its unfloored
+    price with ``tail_tol=0``.
+    """
     trunc = trunc or Truncation()
-    terms, col_abs = _column_sums(model, spec, trunc)
-    partial = np.empty(trunc.m_max)
-    total = 0.0
-    comp = 0.0
-    for j in range(trunc.m_max):
-        col_total = 0.0
-        col_comp = 0.0
-        for n in range(trunc.n_max + 1):
-            col_total, col_comp = _kahan_add(col_total, col_comp, terms[n, j])
-        total, comp = _kahan_add(total, comp, col_total)
-        partial[j] = total
+    columns, totals, _ = zip(*_columns(model, spec, trunc))
     return SeriesTable(
-        terms=terms, partial_sums=partial, converged_price=float(partial[-1])
+        terms=np.column_stack(columns),
+        partial_sums=np.array(totals),
+        converged_price=totals[-1],
     )
 
 

@@ -152,6 +152,10 @@ class TestTableCommand:
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("call")
 
+    def test_has_no_tolerance_flag(self, capsys):
+        code, _, _ = run_main(capsys, self.TABLE_ARGS + ["--tol", "0"])
+        assert code == 2
+
 
 class TestCompareCommand:
     def test_default_matrix_reproduces_series_row(self, capsys):
@@ -181,6 +185,18 @@ class TestCompareCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[3]) == pytest.approx(256.04, abs=0.01)
+
+    def test_json_failed_cell_is_null_with_a_note(self, capsys):
+        # The density engine's contour tail check fails at alpha = 1.01.
+        code, out, _ = run_main(
+            capsys,
+            ["compare", "--spots", "3800", "--alphas", "1.01", "--engines",
+             "discretization", "--format", "json"],
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["prices"] == [None]
+        assert row["notes"][0]
 
     def test_unknown_engine(self, capsys):
         code, _, err = run_main(capsys, ["compare", "--engines", "montecarlo"])

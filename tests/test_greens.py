@@ -108,8 +108,6 @@ class TestStableDensity:
             stable_density(0.5, 1.0)
         with pytest.raises(ValueError):
             MellinLineSettings(c1=1.5)
-        with pytest.raises(ValueError):
-            MellinLineSettings(step=500.0)
 
 
 class TestDensityGrid:

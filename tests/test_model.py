@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fmls
 from fmls.model import (
     OptionSpec,
     PricingResult,
@@ -146,3 +147,10 @@ class TestPricingResult:
             PricingResult(price=1.0, engine="nope", terms_used=3, error_estimate=0.0)
         with pytest.raises(ValueError):
             PricingResult(price=1.0, engine="series", terms_used=3, error_estimate=-1.0)
+
+
+class TestPackage:
+    def test_every_export_resolves_once(self):
+        assert len(fmls.__all__) == len(set(fmls.__all__))
+        for name in fmls.__all__:
+            assert hasattr(fmls, name), name

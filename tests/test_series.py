@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden import (
     COMPARISON_ALPHAS,
@@ -18,7 +19,7 @@ from golden import (
 )
 
 from fmls.bs import bs_atmf_price, bs_price
-from fmls.errors import ConvergenceError, SeriesOverflowError
+from fmls.errors import ConvergenceError, NumericalError, SeriesOverflowError
 from fmls.model import OptionSpec, StableModel
 from fmls.series import (
     Truncation,
@@ -115,6 +116,38 @@ class TestConvergenceTable:
         assert table.terms.shape == (1, 1)
         assert table.partial_sums[0] == table.terms[0, 0]
         assert table.terms[0, 0] == series_term(m, s, 0, 1)
+
+    # Contracts from the oracle-sweep box: S/K in [0.5, 3], tau in
+    # [0.002, 10] and sigma in [0.05, 1.5] (both log-uniform).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moneyness=st.floats(0.5, 3.0),
+        log_tau=st.floats(math.log(0.002), math.log(10.0)),
+        log_sigma=st.floats(math.log(0.05), math.log(1.5)),
+        alpha=st.floats(1.1, 2.0, exclude_min=True),
+        trunc=st.sampled_from(
+            [Truncation(tail_tol=0.0), Truncation(n_max=8, m_max=7, tail_tol=0.0)]
+        ),
+    )
+    def test_converged_price_is_the_unfloored_series_price(
+        self, moneyness, log_tau, log_sigma, alpha, trunc
+    ):
+        s = OptionSpec(
+            spot=100.0 * moneyness,
+            strike=100.0,
+            rate=0.01,
+            sigma=math.exp(log_sigma),
+            tau=math.exp(log_tau),
+        )
+        m = StableModel.from_spec(s, alpha)
+        try:
+            table = convergence_table(m, s, trunc)
+            result = price_series(m, s, trunc)
+        except NumericalError:
+            return
+        if result.diagnostics.get("negative_sum_floored"):
+            return
+        assert table.converged_price == result.price
 
 
 class TestPriceSeries:
