@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .model import OptionSpec, PricingResult, StableModel
+from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .quadrature import adaptive_gauss_kronrod
 
 __all__ = ["QuadratureSettings", "char_fn", "gil_pelaez_price"]
@@ -114,7 +114,7 @@ def gil_pelaez_price(
     more than the quadrature slack raise :class:`QuadratureError`.
     """
     q = q or QuadratureSettings()
-    lfwd = model.log_fwd
+    lfwd = log_moneyness(spec)
     mu, tau, alpha = model.mu, spec.tau, model.alpha
 
     def integrand_p2(u: np.ndarray) -> np.ndarray:

@@ -41,34 +41,22 @@ def _spec_from_args(args: argparse.Namespace) -> OptionSpec:
     )
 
 
-def _price_once(args: argparse.Namespace, engine: str, spec: OptionSpec) -> PricingResult:
+def _price_once(
+    engine: str, spec: OptionSpec, alpha: float, trunc: Truncation | None = None,
+    quad: QuadratureSettings | None = None, refine: int = 0,
+) -> PricingResult:
+    """Price with one engine; each setting left out is the engine's default."""
     if engine == "bs":
         return PricingResult(
             price=bs_price(spec), engine="black_scholes", terms_used=0, error_estimate=0.0
         )
-    model = StableModel.from_spec(spec, args.alpha)
+    model = StableModel.from_spec(spec, alpha)
     if engine == "series":
-        trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
         return price_series(model, spec, trunc)
     if engine == "gilpelaez":
-        return gil_pelaez_price(model, spec, QuadratureSettings(u_max=args.umax))
+        return gil_pelaez_price(model, spec, quad)
     if engine == "discretization":
-        if args.points is None and args.width is None:
-            grid = default_pricing_grid(model, spec)
-        else:
-            scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
-            width = 11.0 if args.width is None else args.width
-            points = 141 if args.points is None else args.points
-            grid = build_density_grid(
-                model.alpha,
-                model.mu,
-                spec.tau,
-                y_min=-width * scale,
-                y_max=width * scale,
-                n_points=points,
-                renormalize=True,
-            )
-        return discretized_price(model, spec, grid)
+        return discretized_price(model, spec, default_pricing_grid(model, spec, refine))
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -99,7 +87,9 @@ def _emit_result(result: PricingResult, fmt: str) -> None:
 
 def _cmd_price(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    result = _price_once(args, args.engine, spec)
+    trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
+    quad = QuadratureSettings(u_max=args.umax)
+    result = _price_once(args.engine, spec, args.alpha, trunc, quad, args.refine)
     _emit_result(result, args.format)
     return 0
 
@@ -146,12 +136,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             prices: list[float | None] = []
             notes: list[str] = []
             for alpha in alphas:
-                sub = argparse.Namespace(**vars(args))
-                sub.alpha = alpha
-                sub.nmax, sub.mmax, sub.tol = 24, 32, None
-                sub.umax, sub.points, sub.width = 200.0, None, None
                 try:
-                    prices.append(_price_once(sub, engine, spec).price)
+                    prices.append(_price_once(engine, spec, alpha).price)
                     notes.append("")
                 except (ValueError, ArithmeticError) as exc:
                     prices.append(None)
@@ -239,12 +225,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True, help="volatility per sqrt(year)")
     p.add_argument("--alpha", type=float, required=True, help="stability index in (1, 2]")
     p.add_argument("--engine", choices=_ENGINE_FLAGS, default="series")
-    p.add_argument("--nmax", type=int, default=24, help="series: max n index")
-    p.add_argument("--mmax", type=int, default=32, help="series: max m index")
-    p.add_argument("--tol", type=float, default=None, help="series: column early-stop tolerance")
-    p.add_argument("--umax", type=float, default=200.0, help="gilpelaez: integral truncation")
-    p.add_argument("--points", type=int, default=None, help="discretization: grid points")
-    p.add_argument("--width", type=float, default=None, help="discretization: half-width in scale units")
+    p.add_argument("--nmax", type=int, default=Truncation.n_max, help="series: max n index")
+    p.add_argument("--mmax", type=int, default=Truncation.m_max, help="series: max m index")
+    p.add_argument(
+        "--tol", type=float, default=Truncation.tail_tol, help="series: column early-stop tolerance"
+    )
+    p.add_argument(
+        "--umax", type=float, default=QuadratureSettings.u_max, help="gilpelaez: integral truncation"
+    )
+    p.add_argument(
+        "--refine", type=int, default=0,
+        help="discretization: grid level, 0 the default grid; each level adds 6 scale "
+        "units of half-width and multiplies the interval count by 4",
+    )
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_price)
 

@@ -299,14 +299,14 @@ def build_density_grid(
     n_points: int = 4001,
     settings: MellinLineSettings | None = None,
     boundary_tol: float = DEFAULT_BOUNDARY_TOL,
-    renormalize: bool = False,
 ) -> DensityGrid:
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
     Default bounds are +/- 12 scale units.  A :class:`BoundaryMassWarning`
     is emitted when the *scaled* density at either edge exceeds
-    ``boundary_tol`` (heavy left tails at low alpha).  ``renormalize``
-    divides by the trapezoid mass so the truncated grid integrates to one.
+    ``boundary_tol`` (heavy left tails at low alpha).  The values are not
+    renormalized; :func:`default_pricing_grid` rescales its grid to unit
+    mass.
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
@@ -327,9 +327,6 @@ def build_density_grid(
             BoundaryMassWarning,
             stacklevel=2,
         )
-    if renormalize:
-        mass = float(np.trapezoid(values, dx=(y_max - y_min) / (n_points - 1)))
-        values = values / mass
     return DensityGrid(y_min=float(y_min), y_max=float(y_max), n_points=n_points, values=values)
 
 
@@ -347,6 +344,8 @@ def default_pricing_grid(
     discrete sum toward the series price.  The grid is renormalized to unit
     mass and no :class:`BoundaryMassWarning` is emitted.
     """
+    if refine < 0:
+        raise ValueError(f"refine must be >= 0, got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)

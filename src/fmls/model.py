@@ -1,5 +1,9 @@
 """Market contract records, log-stable model parameters, and result records.
 
+The model is (alpha, mu) alone; the log-forward-moneyness belongs to the
+contract (:func:`log_moneyness`), so one model prices every contract with
+the volatility it was built from.
+
 ``sigma`` is the Gaussian-equivalent volatility: the stable driver is scaled
 by 1/sqrt(2) so that at stability index 2 the model degenerates exactly to
 Black-Scholes with that same sigma.  Calibrations coming from other
@@ -83,16 +87,15 @@ def log_moneyness(spec: OptionSpec) -> float:
 
 @dataclass(frozen=True)
 class StableModel:
-    """Stability index plus the two derived quantities every engine consumes."""
+    """Stability index and martingale drift; engines read the contract's
+    log-forward-moneyness from the :class:`OptionSpec`, not from here."""
 
     alpha: float
     mu: float
-    log_fwd: float
 
     def __post_init__(self) -> None:
         alpha = _require_finite("alpha", self.alpha)
         mu = _require_finite("mu", self.mu)
-        _require_finite("log_fwd", self.log_fwd)
         if alpha <= 1.0 + _ALPHA_EDGE or alpha > 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
         if mu >= 0.0:
@@ -100,11 +103,8 @@ class StableModel:
 
     @classmethod
     def from_spec(cls, spec: OptionSpec, alpha: float) -> "StableModel":
-        return cls(
-            alpha=float(alpha),
-            mu=martingale_drift(spec.sigma, alpha),
-            log_fwd=log_moneyness(spec),
-        )
+        """The model for ``spec``'s volatility; only ``spec.sigma`` is read."""
+        return cls(alpha=float(alpha), mu=martingale_drift(spec.sigma, alpha))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, SeriesOverflowError
-from .model import OptionSpec, PricingResult, StableModel
+from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .special_functions import ln_gamma_real, reciprocal_gamma
 
 __all__ = [
@@ -93,7 +93,7 @@ def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
     if rg == 0.0:
         return 0.0
     x = -model.mu * spec.tau  # > 0 by construction
-    base = -model.log_fwd - model.mu * spec.tau
+    base = -log_moneyness(spec) - model.mu * spec.tau
     if base == 0.0 and n > 0:
         return 0.0
     log_mag = (
@@ -157,7 +157,7 @@ def price_series(
     """
     trunc = trunc or Truncation()
     tail_tol = trunc.resolve_tail_tol(spec.strike)
-    base = -model.log_fwd - model.mu * spec.tau
+    base = -log_moneyness(spec) - model.mu * spec.tau
 
     for columns_used, (_, total, col_abs) in enumerate(
         _columns(model, spec, trunc), start=1

@@ -122,10 +122,9 @@ def _loggamma_vec(z: np.ndarray) -> np.ndarray:
     if np.any(right):
         zr = z[right]
         t = zr + (_LANCZOS_G - 0.5)
-        s = np.full_like(zr, _LANCZOS_C[0])
-        for k in range(1, 15):
-            s += _LANCZOS_C[k] / (zr - 1.0 + k)
-        out[right] = _LOG_SQRT_2PI + (zr - 0.5) * np.log(t) - t + np.log(s)
+        out[right] = (
+            _LOG_SQRT_2PI + (zr - 0.5) * np.log(t) - t + np.log(_lanczos_sum(zr))
+        )
     if np.any(~right):
         zl = z[~right]
         out[~right] = _LOG_PI - _log_sinpi_vec(zl) - _loggamma_vec(1.0 - zl)

@@ -16,7 +16,7 @@ from golden import (
 from fmls.bs import bs_price
 from fmls.charfn import QuadratureSettings, char_fn, gil_pelaez_price
 from fmls.errors import QuadratureError
-from fmls.model import OptionSpec, StableModel, martingale_drift
+from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import price_series
 
 
@@ -99,7 +99,7 @@ class TestGilPelaez:
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         for alpha in (1.5, 1.7, 2.0):
             m = StableModel.from_spec(s, alpha)
-            lfwd, mu = m.log_fwd, m.mu
+            lfwd, mu = log_moneyness(s), m.mu
 
             def ig(u, shift):
                 phi = char_fn(u - shift, mu, 1.0, alpha)

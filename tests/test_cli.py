@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import fmls
 from fmls.cli import main
+from fmls.greens import default_pricing_grid, discretized_price
 from fmls.model import OptionSpec, StableModel
 from fmls.series import Truncation, convergence_table, price_series
 
@@ -102,6 +104,41 @@ class TestPriceCommand:
         )
         assert code == 3
         assert "numerical" in err
+
+    def test_discretization_default_grid_without_warning(self, capsys):
+        # argparse keeps the last --alpha, so this prices at alpha = 1.5.
+        argv = PRICE_ARGS + ["--alpha", "1.5", "--engine", "discretization"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_main(capsys, argv + ["--format", "json"])
+        assert code == 0
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.5)
+        assert json.loads(out)["price"] == discretized_price(m, s).price
+
+    def test_refine_prices_on_the_refined_default_grid(self, capsys):
+        code, out, _ = run_main(
+            capsys,
+            PRICE_ARGS + ["--engine", "discretization", "--refine", "1", "--format", "json"],
+        )
+        assert code == 0
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.7)
+        grid = default_pricing_grid(m, s, refine=1)
+        assert json.loads(out)["price"] == discretized_price(m, s, grid).price
+
+    def test_negative_refine_exit_code(self, capsys):
+        code, _, err = run_main(
+            capsys, PRICE_ARGS + ["--engine", "discretization", "--refine", "-1"]
+        )
+        assert code == 2
+        assert "refine" in err
+
+    def test_help_lists_refine_and_no_grid_flags(self, capsys):
+        code, out, _ = run_main(capsys, ["price", "--help"])
+        assert code == 0
+        assert "--refine" in out
+        assert "--points" not in out and "--width" not in out
 
     def test_csv_format(self, capsys):
         code, out, _ = run_main(capsys, PRICE_ARGS + ["--format", "csv"])
@@ -197,6 +234,21 @@ class TestCompareCommand:
         (row,) = json.loads(out)["rows"]
         assert row["prices"] == [None]
         assert row["notes"][0]
+
+    @pytest.mark.parametrize("engine", ["series", "gilpelaez", "discretization"])
+    def test_cell_is_the_price_command_with_its_defaults(self, capsys, engine):
+        code, out, _ = run_main(
+            capsys,
+            ["compare", "--spots", "3800", "--alphas", "1.7", "--engines", engine,
+             "--format", "json"],
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        code, out, _ = run_main(
+            capsys, PRICE_ARGS + ["--engine", engine, "--format", "json"]
+        )
+        assert code == 0
+        assert row["prices"] == [json.loads(out)["price"]]
 
     def test_unknown_engine(self, capsys):
         code, _, err = run_main(capsys, ["compare", "--engines", "montecarlo"])

@@ -142,11 +142,6 @@ class TestDensityGrid:
             warnings.simplefilter("error", BoundaryMassWarning)
             build_density_grid(1.7, mu, 1.0, n_points=501)
 
-    def test_renormalize(self):
-        mu = martingale_drift(0.2, 1.7)
-        grid = build_density_grid(1.7, mu, 1.0, n_points=501, renormalize=True)
-        assert grid.mass() == pytest.approx(1.0, abs=1e-12)
-
     def test_invariants(self):
         with pytest.raises(ValueError):
             DensityGrid(y_min=0.0, y_max=1.0, n_points=2, values=np.zeros(2))

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fmls
+from fmls.charfn import gil_pelaez_price
+from fmls.greens import discretized_price
 from fmls.model import (
     OptionSpec,
     PricingResult,
@@ -13,6 +16,7 @@ from fmls.model import (
     log_moneyness,
     martingale_drift,
 )
+from fmls.series import price_series
 
 # mpmath (mp.dps=50) evaluation of (0.2/sqrt(2))**1.7 / cos(0.85*pi)
 MU_02_17 = -0.04036403854693873
@@ -115,13 +119,12 @@ class TestStableModel:
         m = StableModel.from_spec(spec_table1(), 1.7)
         assert m.alpha == 1.7
         assert m.mu == pytest.approx(MU_02_17, rel=1e-13)
-        assert m.log_fwd == pytest.approx(LOG_MONEYNESS_REF, rel=1e-14)
 
     def test_nonnegative_mu_impossible(self):
         with pytest.raises(ValueError):
-            StableModel(alpha=1.7, mu=0.0, log_fwd=0.0)
+            StableModel(alpha=1.7, mu=0.0)
         with pytest.raises(ValueError):
-            StableModel(alpha=1.7, mu=0.01, log_fwd=0.0)
+            StableModel(alpha=1.7, mu=0.01)
 
     def test_scaled_drift_positive(self):
         for sigma in (0.05, 0.2, 0.8):
@@ -133,9 +136,65 @@ class TestStableModel:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            StableModel(alpha=1.0, mu=-0.1, log_fwd=0.0)
+            StableModel(alpha=1.0, mu=-0.1)
         with pytest.raises(ValueError):
-            StableModel(alpha=2.1, mu=-0.1, log_fwd=0.0)
+            StableModel(alpha=2.1, mu=-0.1)
+
+
+def outcome(engine, model: StableModel, spec: OptionSpec):
+    """Everything a pricing call returns, or the class of what it raised."""
+    try:
+        r = engine(model, spec)
+    except ArithmeticError as exc:
+        return type(exc)
+    return r.price, r.error_estimate, r.terms_used, r.diagnostics
+
+
+class TestOneModelManyContracts:
+    """The model is (alpha, mu): one model prices every contract with its sigma."""
+
+    # Two contracts from the oracle-sweep box: S/K in [0.5, 3], tau in
+    # [0.002, 10] (log-uniform), sharing one sigma in [0.05, 1.5].
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moneyness=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+        log_tau=st.tuples(
+            st.floats(math.log(0.002), math.log(10.0)),
+            st.floats(math.log(0.002), math.log(10.0)),
+        ),
+        log_sigma=st.floats(math.log(0.05), math.log(1.5)),
+        alpha=st.floats(1.1, 2.0, exclude_min=True),
+    )
+    def test_a_model_prices_another_contract_as_its_own(
+        self, moneyness, log_tau, log_sigma, alpha
+    ):
+        a, b = (
+            OptionSpec(
+                spot=100.0 * k, strike=100.0, rate=0.01,
+                sigma=math.exp(log_sigma), tau=math.exp(t),
+            )
+            for k, t in zip(moneyness, log_tau)
+        )
+        model_a = StableModel.from_spec(a, alpha)
+        model_b = StableModel.from_spec(b, alpha)
+        assert model_a == model_b
+        for engine in (price_series, gil_pelaez_price):
+            assert outcome(engine, model_a, b) == outcome(engine, model_b, b)
+
+    def test_discretization_prices_another_contract_as_its_own(self):
+        paper = dict(strike=4000, rate=0.01, sigma=0.2)
+        for alpha, (spot_a, tau_a), (spot_b, tau_b) in [
+            (1.7, (3800, 1.0), (4200, 1.0)),
+            (1.5, (4200, 1.0), (3800, 0.25)),
+            (2.0, (3800, 2.0), (4000, 1.0)),
+        ]:
+            a = OptionSpec(spot=spot_a, tau=tau_a, **paper)
+            b = OptionSpec(spot=spot_b, tau=tau_b, **paper)
+            model_a = StableModel.from_spec(a, alpha)
+            assert model_a == StableModel.from_spec(b, alpha)
+            assert outcome(discretized_price, model_a, b) == outcome(
+                discretized_price, StableModel.from_spec(b, alpha), b
+            )
 
 
 class TestPricingResult:
