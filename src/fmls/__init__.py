@@ -10,7 +10,7 @@ Four engines share one set of market/model records:
 """
 
 from .bs import bs_atmf_price, bs_price
-from .charfn import QuadratureSettings, char_fn, gil_pelaez_price
+from .charfn import char_fn, gil_pelaez_price
 from .errors import (
     ConvergenceError,
     NumericalError,
@@ -20,7 +20,6 @@ from .errors import (
 from .greens import (
     BoundaryMassWarning,
     DensityGrid,
-    MellinLineSettings,
     build_density_grid,
     default_pricing_grid,
     discretized_price,
@@ -58,12 +57,10 @@ __all__ = [
     "BoundaryMassWarning",
     "ConvergenceError",
     "DensityGrid",
-    "MellinLineSettings",
     "NumericalError",
     "OptionSpec",
     "PricingResult",
     "QuadratureError",
-    "QuadratureSettings",
     "SeriesOverflowError",
     "SeriesTable",
     "StableModel",

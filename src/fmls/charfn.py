@@ -12,14 +12,13 @@ inverting phi on the half line:
 with L the log-forward-moneyness.  The apparent 1/u singularity at zero is
 removable, so integration starts at u = 1e-10; the omitted sliver is far
 below the tolerances.  Integration proceeds strip by strip and stops once
-three consecutive strips contribute less than ``abs_tol``.
+three consecutive strips contribute less than ``_ABS_TOL``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,30 +26,17 @@ from .errors import QuadratureError
 from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .quadrature import adaptive_gauss_kronrod
 
-__all__ = ["QuadratureSettings", "char_fn", "gil_pelaez_price"]
+__all__ = ["char_fn", "gil_pelaez_price"]
 
 _U_START = 1e-10
+_U_MAX = 200.0  # truncation of both integrals when the caller sets none
 _STRIP_WIDTH = 5.0
 _IDLE_STRIPS = 3
 _PROB_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Truncation and tolerance knobs for the half-line inversion integrals."""
-
-    u_max: float = 200.0
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.u_max) and self.u_max > 0.0):
-            raise ValueError(f"u_max must be positive and finite, got {self.u_max!r}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("rel_tol and abs_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# Gauss-Kronrod tolerances and panel budget of each strip.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-10
+_MAX_SUBDIVISIONS = 200
 
 
 def char_fn(u: complex, mu: float, tau: float, alpha: float) -> complex:
@@ -76,28 +62,28 @@ def _char_fn_vec(u: np.ndarray, mu: float, tau: float, alpha: float) -> np.ndarr
     return np.where(iu == 0, 1.0 + 0.0j, out)
 
 
-def _integrate_half_line(integrand, settings: QuadratureSettings):
+def _integrate_half_line(integrand, u_max: float):
     """Strip-by-strip integration of a decaying oscillatory integrand."""
     total = 0.0
     err = 0.0
     evals = 0
     idle = 0
     a = _U_START
-    u_stop = settings.u_max
-    while a < settings.u_max:
-        b = min(a + _STRIP_WIDTH, settings.u_max)
+    u_stop = u_max
+    while a < u_max:
+        b = min(a + _STRIP_WIDTH, u_max)
         value, e, n = adaptive_gauss_kronrod(
             integrand,
             a,
             b,
-            rel_tol=settings.rel_tol,
-            abs_tol=settings.abs_tol,
-            max_subdivisions=settings.max_subdivisions,
+            rel_tol=_REL_TOL,
+            abs_tol=_ABS_TOL,
+            max_subdivisions=_MAX_SUBDIVISIONS,
         )
         total += value
         err += e
         evals += n
-        idle = idle + 1 if abs(value) < settings.abs_tol else 0
+        idle = idle + 1 if abs(value) < _ABS_TOL else 0
         if idle >= _IDLE_STRIPS:
             u_stop = b
             break
@@ -106,14 +92,19 @@ def _integrate_half_line(integrand, settings: QuadratureSettings):
 
 
 def gil_pelaez_price(
-    model: StableModel, spec: OptionSpec, q: QuadratureSettings | None = None
+    model: StableModel, spec: OptionSpec, u_max: float | None = None
 ) -> PricingResult:
     """Price by inversion of the characteristic function.
 
-    Diagnostics carry both exercise probabilities; values outside [0, 1] by
-    more than the quadrature slack raise :class:`QuadratureError`.
+    ``u_max`` truncates both integrals; ``None`` means 200.  Integration
+    may stop earlier, once the strips stop contributing (diagnostics
+    ``u_stop_p1`` and ``u_stop_p2``).  Diagnostics carry both exercise
+    probabilities; values outside [0, 1] by more than the quadrature slack
+    raise :class:`QuadratureError`.
     """
-    q = q or QuadratureSettings()
+    u_max = _U_MAX if u_max is None else u_max
+    if not (math.isfinite(u_max) and u_max > 0.0):
+        raise ValueError(f"u_max must be positive and finite, got {u_max!r}")
     lfwd = log_moneyness(spec)
     mu, tau, alpha = model.mu, spec.tau, model.alpha
 
@@ -125,8 +116,8 @@ def gil_pelaez_price(
         w = np.exp(1j * u * lfwd) * _char_fn_vec(u - 1j, mu, tau, alpha)
         return w.imag / u
 
-    i1, err1, n1, ustop1 = _integrate_half_line(integrand_p1, q)
-    i2, err2, n2, ustop2 = _integrate_half_line(integrand_p2, q)
+    i1, err1, n1, ustop1 = _integrate_half_line(integrand_p1, u_max)
+    i2, err2, n2, ustop2 = _integrate_half_line(integrand_p2, u_max)
     p1 = 0.5 + i1 / math.pi
     p2 = 0.5 + i2 / math.pi
     for name, p in (("P1", p1), ("P2", p2)):

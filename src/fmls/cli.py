@@ -16,8 +16,8 @@ import sys
 from typing import Any
 
 from .bs import bs_price
-from .charfn import QuadratureSettings, gil_pelaez_price
-from .greens import MellinLineSettings, build_density_grid, default_pricing_grid, discretized_price
+from .charfn import gil_pelaez_price
+from .greens import build_density_grid, discretized_price
 from .model import OptionSpec, PricingResult, StableModel, martingale_drift
 from .series import Truncation, convergence_table, implied_vol, price_series
 
@@ -43,7 +43,7 @@ def _spec_from_args(args: argparse.Namespace) -> OptionSpec:
 
 def _price_once(
     engine: str, spec: OptionSpec, alpha: float, trunc: Truncation | None = None,
-    quad: QuadratureSettings | None = None, refine: int = 0,
+    u_max: float | None = None, refine: int = 0,
 ) -> PricingResult:
     """Price with one engine; each setting left out is the engine's default."""
     if engine == "bs":
@@ -54,9 +54,9 @@ def _price_once(
     if engine == "series":
         return price_series(model, spec, trunc)
     if engine == "gilpelaez":
-        return gil_pelaez_price(model, spec, quad)
+        return gil_pelaez_price(model, spec, u_max)
     if engine == "discretization":
-        return discretized_price(model, spec, default_pricing_grid(model, spec, refine))
+        return discretized_price(model, spec, refine)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -88,8 +88,7 @@ def _emit_result(result: PricingResult, fmt: str) -> None:
 def _cmd_price(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
-    quad = QuadratureSettings(u_max=args.umax)
-    result = _price_once(args.engine, spec, args.alpha, trunc, quad, args.refine)
+    result = _price_once(args.engine, spec, args.alpha, trunc, args.umax, args.refine)
     _emit_result(result, args.format)
     return 0
 
@@ -172,7 +171,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         y_min=args.ymin,
         y_max=args.ymax,
         n_points=args.points,
-        settings=MellinLineSettings(c1=args.c1),
+        c1=args.c1,
     )
     print("y,density")
     for y, v in zip(grid.ys, grid.values):
@@ -231,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=Truncation.tail_tol, help="series: column early-stop tolerance"
     )
     p.add_argument(
-        "--umax", type=float, default=QuadratureSettings.u_max, help="gilpelaez: integral truncation"
+        "--umax", type=float, default=None,
+        help="gilpelaez: upper limit of both inversion integrals (default: the engine's own)",
     )
     p.add_argument(
         "--refine", type=int, default=0,
@@ -268,7 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ymin", type=float, default=None)
     p.add_argument("--ymax", type=float, default=None)
     p.add_argument("--points", type=int, default=4001)
-    p.add_argument("--c1", type=float, default=0.5, help="contour abscissa in (0, 1)")
+    p.add_argument(
+        "--c1", type=float, default=None,
+        help="abscissa in (0, 1) of the Mellin-Barnes contour (default: the engine's own)",
+    )
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("implied-vol", help="invert the series price for sigma")

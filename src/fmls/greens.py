@@ -9,6 +9,9 @@ two signs of X:
     X < 0:  Gamma(t/alpha) Gamma(1-t) / (Gamma(rho*t) Gamma(1 - rho*t)),
             rho = (alpha-1)/alpha, evaluated at |X|
 
+By the reflection formula the X < 0 ratio is the X > 0 one times
+sin(pi*rho*t) / sin(pi*t/alpha), which is how it is computed.
+
 Both integrands decay exponentially in |y|, so a trapezoid rule along the
 line converges geometrically.  The step is halved until the result settles,
 by nested refinement: each halving evaluates the ratio only at the new odd
@@ -30,10 +33,9 @@ import numpy as np
 
 from .errors import QuadratureError
 from .model import OptionSpec, PricingResult, StableModel
-from .special_functions import _loggamma_vec, reciprocal_gamma
+from .special_functions import _log_sinpi_vec, _loggamma_vec, reciprocal_gamma
 
 __all__ = [
-    "MellinLineSettings",
     "DensityGrid",
     "BoundaryMassWarning",
     "stable_density",
@@ -43,11 +45,13 @@ __all__ = [
     "discretized_price",
 ]
 
+_C1 = 0.5  # contour abscissa when the caller sets none
+_Y_MAX = 400.0  # contour truncation
 _H_START = 0.25
 _STEP_TOL = 1e-11
 _MAX_HALVINGS = 10
 _RATIO_CUTOFF = 1e-18  # drop the contour tail once the ratio is this small
-_TAIL_TOL = 1e-12  # ratio magnitude still allowed at y_max
+_TAIL_TOL = 1e-12  # ratio magnitude still allowed at _Y_MAX
 _NEGATIVITY_TOL = -1e-8
 _CHUNK = 512
 
@@ -57,44 +61,21 @@ _PRICE_HALF_WIDTH = 11.0
 _PRICE_POINTS = 141
 # Default bounds for exported density grids: +/- 12 scale units.
 _GRID_HALF_WIDTH = 12.0
+# Each refine level quadruples the pricing grid; level 6 has 573,441 points.
+_MAX_REFINE = 6
 
 
 class BoundaryMassWarning(UserWarning):
     """The density grid still carries visible mass at its boundary."""
 
 
-@dataclass(frozen=True)
-class MellinLineSettings:
-    """Contour abscissa and truncation of the vertical-line trapezoid.
-
-    The trapezoid halves its step from 0.25 until the result moves by less
-    than 1e-11 (or than its roundoff floor), evaluating at each halving only
-    the new odd nodes; the 0.25 level reuses the decay probe's values.
-    """
-
-    c1: float = 0.5
-    y_max: float = 400.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.c1 < 1.0):
-            raise ValueError(f"c1 must lie in (0, 1), got {self.c1!r}")
-        if not (self.y_max > 0.0 and math.isfinite(self.y_max)):
-            raise ValueError(f"y_max must be positive and finite, got {self.y_max!r}")
-
-
 def _line_ratio(ys: np.ndarray, alpha: float, c1: float, negative: bool) -> np.ndarray:
     """Gamma ratio on the contour t = c1 + i*ys, via log-Gamma differences."""
     t = c1 + 1j * ys
+    lg = _loggamma_vec(1.0 - t) - _loggamma_vec(1.0 - t / alpha)
     if negative:
         rho = (alpha - 1.0) / alpha
-        lg = (
-            _loggamma_vec(t / alpha)
-            + _loggamma_vec(1.0 - t)
-            - _loggamma_vec(rho * t)
-            - _loggamma_vec(1.0 - rho * t)
-        )
-    else:
-        lg = _loggamma_vec(1.0 - t) - _loggamma_vec(1.0 - t / alpha)
+        lg += _log_sinpi_vec(rho * t) - _log_sinpi_vec(t / alpha)
     return np.exp(lg)
 
 
@@ -116,10 +97,7 @@ def _phase_sum(log_x: np.ndarray, ys: np.ndarray, coeffs: np.ndarray) -> np.ndar
 
 
 def _half_line_transform(
-    log_x: np.ndarray,
-    ratio_fn,
-    settings: MellinLineSettings,
-    prefactor: np.ndarray | float,
+    log_x: np.ndarray, ratio_fn, prefactor: np.ndarray | float
 ) -> np.ndarray:
     """Evaluate prefactor * int_0^inf Re[ratio(y) * e^{i*y*log_x}] dy for a
     vector of log_x, by nested trapezoid refinement along the contour.
@@ -130,20 +108,21 @@ def _half_line_transform(
     and is applied before the convergence check, so the step tolerance is in
     final (output) units.
 
-    A probe at step 0.25 out to ``y_max`` finds where the ratio drops below
+    A probe at step 0.25 out to y = 400 finds where the ratio drops below
     the cutoff; its nodes up to there are the first trapezoid level.  Each
     halving evaluates ``ratio_fn`` only at the new odd nodes and updates
     T(h/2) = T(h)/2 + (h/2) * sum over the odd nodes, so every contour node
-    is evaluated once.
+    is evaluated once.  The step is halved until the result moves by less
+    than 1e-11 (or than its roundoff floor).
     """
     # Probe the decay on a coarse grid to find the effective truncation.
-    probe = np.arange(0.0, settings.y_max + _H_START, _H_START)
+    probe = np.arange(0.0, _Y_MAX + _H_START, _H_START)
     ratio_probe = ratio_fn(probe)
     mags = np.abs(ratio_probe)
     if mags[-1] > _TAIL_TOL:
         raise QuadratureError(
-            f"contour integrand still {mags[-1]:.3e} at y_max={settings.y_max!r}; "
-            "increase y_max"
+            f"contour integrand still {mags[-1]:.3e} at y = {_Y_MAX:g}: it has "
+            "not decayed because alpha is too close to 1"
         )
     big = np.nonzero(mags >= _RATIO_CUTOFF)[0]
     n = int(big[-1]) + 1 if big.size else 1  # intervals of width _H_START
@@ -179,15 +158,19 @@ def _half_line_transform(
 
 
 def stable_density_values(
-    x: np.ndarray, alpha: float, settings: MellinLineSettings | None = None
+    x: np.ndarray, alpha: float, c1: float | None = None
 ) -> np.ndarray:
     """Vectorized density of the scaled log return at the points ``x``.
 
+    ``c1`` is the contour abscissa in (0, 1); ``None`` means 0.5.  The
+    density does not depend on it, up to quadrature error.
     X = 0 entries take the limit of the X > 0 branch, which the residue
     expansion gives in closed form: g(0) = (1/alpha) / Gamma(1 - 1/alpha)
     (equal to 1/(2 sqrt(pi)) in the Gaussian case).
     """
-    settings = settings or MellinLineSettings()
+    c1 = _C1 if c1 is None else c1
+    if not (0.0 < c1 < 1.0):
+        raise ValueError(f"c1 must lie in (0, 1), got {c1!r}")
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
     x = np.asarray(x, dtype=float)
@@ -197,7 +180,6 @@ def stable_density_values(
     # there, while the contour integrand's oscillation diverges like log|X|.
     near_zero = np.abs(flat) <= 1e-8
     out[near_zero] = reciprocal_gamma(1.0 - 1.0 / alpha) / alpha
-    c1 = settings.c1
     for negative in (False, True):
         mask = ((flat < 0.0) if negative else (flat > 0.0)) & ~near_zero
         if not np.any(mask):
@@ -208,7 +190,6 @@ def stable_density_values(
         out[mask] = _half_line_transform(
             log_ax,
             lambda ys: _line_ratio(ys, alpha, c1, negative),
-            settings,
             prefactor=ax ** (c1 - 1.0) / (alpha * math.pi),
         )
     bad = out < _NEGATIVITY_TOL
@@ -218,16 +199,12 @@ def stable_density_values(
     return out.reshape(x.shape) if x.shape else out[0]
 
 
-def stable_density(
-    x: float, alpha: float, settings: MellinLineSettings | None = None
-) -> float:
+def stable_density(x: float, alpha: float, c1: float | None = None) -> float:
     """Density of the scaled log return at a single point."""
-    return float(stable_density_values(np.array([float(x)]), alpha, settings)[0])
+    return float(stable_density_values(np.array([float(x)]), alpha, c1)[0])
 
 
-def cahen_mellin_exp(
-    x: float, c: float, settings: MellinLineSettings | None = None
-) -> float:
+def cahen_mellin_exp(x: float, c: float) -> float:
     """exp(-x) recovered from the contour integral of Gamma(s) x^{-s}.
 
     Exists purely as a soundness check of the vertical-line quadrature:
@@ -238,13 +215,11 @@ def cahen_mellin_exp(
         raise ValueError(f"x must be positive and finite, got {x!r}")
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    line = MellinLineSettings() if settings is None else settings
     # Reuse the transform with ratio Gamma(c + i*y) and phase e^{-i*y*log x};
     # the contour abscissa is c itself, not the density's c1.
     val = _half_line_transform(
         np.array([-math.log(x)]),
         lambda ys: np.exp(_loggamma_vec(c + 1j * ys)),
-        line,
         prefactor=x**-c / math.pi,
     )[0]
     return float(val)
@@ -297,12 +272,13 @@ def build_density_grid(
     y_min: float | None = None,
     y_max: float | None = None,
     n_points: int = 4001,
-    settings: MellinLineSettings | None = None,
+    c1: float | None = None,
     boundary_tol: float = DEFAULT_BOUNDARY_TOL,
 ) -> DensityGrid:
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
-    Default bounds are +/- 12 scale units.  A :class:`BoundaryMassWarning`
+    Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
+    of :func:`stable_density_values`.  A :class:`BoundaryMassWarning`
     is emitted when the *scaled* density at either edge exceeds
     ``boundary_tol`` (heavy left tails at low alpha).  The values are not
     renormalized; :func:`default_pricing_grid` rescales its grid to unit
@@ -318,7 +294,7 @@ def build_density_grid(
     if not (y_max > y_min):
         raise ValueError("need y_max > y_min")
     ys = np.linspace(y_min, y_max, n_points)
-    values = stable_density_values(ys / scale, alpha, settings) / scale
+    values = stable_density_values(ys / scale, alpha, c1) / scale
     edge = max(values[0] * scale, values[-1] * scale)  # in scaled-variable units
     if edge > boundary_tol:
         warnings.warn(
@@ -331,21 +307,18 @@ def build_density_grid(
 
 
 def default_pricing_grid(
-    model: StableModel,
-    spec: OptionSpec,
-    refine: int = 0,
-    settings: MellinLineSettings | None = None,
+    model: StableModel, spec: OptionSpec, refine: int = 0
 ) -> DensityGrid:
-    """Grid the convolution pricer uses when none is supplied.
+    """Grid of the convolution pricer: 140 * 4**refine intervals.
 
-    ``refine`` widens the grid by 6 scale units and quadruples the interval
-    count per level, re-widening (up to three times) while the scaled edge
-    density exceeds ``DEFAULT_BOUNDARY_TOL``; increasing levels drive the
-    discrete sum toward the series price.  The grid is renormalized to unit
-    mass and no :class:`BoundaryMassWarning` is emitted.
+    ``refine`` in [0, 6] widens the grid by 6 scale units and quadruples the
+    interval count per level, re-widening (up to three times) while the
+    scaled edge density exceeds ``DEFAULT_BOUNDARY_TOL``; increasing levels
+    drive the discrete sum toward the series price.  The grid is
+    renormalized to unit mass and no :class:`BoundaryMassWarning` is emitted.
     """
-    if refine < 0:
-        raise ValueError(f"refine must be >= 0, got {refine!r}")
+    if not (0 <= refine <= _MAX_REFINE):
+        raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
@@ -357,7 +330,6 @@ def default_pricing_grid(
             y_min=-half_width * scale,
             y_max=half_width * scale,
             n_points=n_points,
-            settings=settings,
             boundary_tol=math.inf,
         )
         if max(grid.values[0], grid.values[-1]) * scale <= DEFAULT_BOUNDARY_TOL:
@@ -367,13 +339,11 @@ def default_pricing_grid(
 
 
 def discretized_price(
-    model: StableModel,
-    spec: OptionSpec,
-    grid: DensityGrid | None = None,
+    model: StableModel, spec: OptionSpec, refine: int = 0
 ) -> PricingResult:
-    """Discounted trapezoid sum of payoff times sampled density."""
-    if grid is None:
-        grid = default_pricing_grid(model, spec)
+    """Discounted trapezoid sum of payoff times the sampled density of
+    ``default_pricing_grid(model, spec, refine)``."""
+    grid = default_pricing_grid(model, spec, refine)
     ys = grid.ys
     payoff = np.maximum(
         spec.spot * np.exp((spec.rate + model.mu) * spec.tau + ys) - spec.strike, 0.0

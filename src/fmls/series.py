@@ -74,6 +74,11 @@ class Truncation:
         return 1e-8 * strike if self.tail_tol is None else self.tail_tol
 
 
+# Rectangle of every implied-vol reprice, wider than the default because the
+# bisection visits sigmas up to _IV_SIGMA_HI.
+_IV_TRUNC = Truncation(n_max=40, m_max=56)
+
+
 @dataclass(frozen=True)
 class SeriesTable:
     """Per-(n, m) terms and cumulative column partial sums."""
@@ -276,14 +281,13 @@ def implied_vol(
     alpha: float,
     target_price: float,
     tol: float = 1e-9,
-    trunc: Truncation | None = None,
 ) -> float:
     """Invert the series price for sigma by bracketing bisection.
 
     ``tol`` is a currency tolerance on the repriced value.  The target must
     respect the no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.
     """
-    if tol <= 0.0:
+    if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
     intrinsic = max(spot - strike * math.exp(-rate * tau), 0.0)
     if not (intrinsic < target_price < spot):
@@ -291,7 +295,6 @@ def implied_vol(
             f"target_price {target_price!r} outside the no-arbitrage bounds "
             f"({intrinsic:.6g}, {spot:.6g})"
         )
-    trunc = trunc or Truncation(n_max=40, m_max=56)
     lo, hi = _IV_SIGMA_LO, _IV_SIGMA_HI
     # The bracket holds mathematically: price -> intrinsic as sigma -> 0 and
     # -> spot as sigma -> inf, so the endpoints are never evaluated.
@@ -302,7 +305,7 @@ def implied_vol(
                 spot=spot, strike=strike, rate=rate, sigma=mid, tau=tau
             )
             diff = (
-                price_series(StableModel.from_spec(spec, alpha), spec, trunc).price
+                price_series(StableModel.from_spec(spec, alpha), spec, _IV_TRUNC).price
                 - target_price
             )
         except NumericalError:

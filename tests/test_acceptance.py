@@ -27,9 +27,7 @@ from golden import (
 from fmls.bs import bs_atmf_price, bs_price
 from fmls.charfn import char_fn, gil_pelaez_price
 from fmls.greens import (
-    MellinLineSettings,
     cahen_mellin_exp,
-    default_pricing_grid,
     discretized_price,
     stable_density,
     stable_density_values,
@@ -158,7 +156,7 @@ def test_criterion_5_quadrature_soundness():
         assert float(np.max(np.abs(got - heat))) <= 1e-8
 
         probes = [
-            stable_density(0.5, 1.7, MellinLineSettings(c1=c1)) for c1 in (0.3, 0.5, 0.7)
+            stable_density(0.5, 1.7, c1=c1) for c1 in (0.3, 0.5, 0.7)
         ]
         assert max(probes) - min(probes) <= 1e-8
 
@@ -196,8 +194,7 @@ def test_criterion_7_discretization_pricer():
             target = price_series(model, spec).price
             gaps = []
             for refine in (1, 2, 3):
-                grid = default_pricing_grid(model, spec, refine=refine)
-                gaps.append(abs(discretized_price(model, spec, grid).price - target))
+                gaps.append(abs(discretized_price(model, spec, refine).price - target))
             assert gaps[0] > gaps[1] > gaps[2], f"alpha={alpha}: gaps={gaps}"
 
     _report("criterion 7 (discretization row + refinement convergence)", body)

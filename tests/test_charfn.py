@@ -14,7 +14,8 @@ from golden import (
 )
 
 from fmls.bs import bs_price
-from fmls.charfn import QuadratureSettings, char_fn, gil_pelaez_price
+from fmls import charfn
+from fmls.charfn import char_fn, gil_pelaez_price
 from fmls.errors import QuadratureError
 from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import price_series
@@ -122,17 +123,17 @@ class TestGilPelaez:
         assert r.diagnostics["u_stop_p1"] <= 200.0
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(u_max=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_subdivisions=0)
-
-    def test_insufficient_budget_raises(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.7)
+        for u_max in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                gil_pelaez_price(m, s, u_max)
+
+    def test_insufficient_budget_raises(self, monkeypatch):
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.7)
+        monkeypatch.setattr(charfn, "_REL_TOL", 1e-13)
+        monkeypatch.setattr(charfn, "_ABS_TOL", 1e-300)
+        monkeypatch.setattr(charfn, "_MAX_SUBDIVISIONS", 1)
         with pytest.raises(QuadratureError):
-            gil_pelaez_price(
-                m, s, QuadratureSettings(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=1)
-            )
+            gil_pelaez_price(m, s)

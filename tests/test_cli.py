@@ -13,7 +13,8 @@ import pytest
 
 import fmls
 from fmls.cli import main
-from fmls.greens import default_pricing_grid, discretized_price
+from fmls.charfn import gil_pelaez_price
+from fmls.greens import discretized_price
 from fmls.model import OptionSpec, StableModel
 from fmls.series import Truncation, convergence_table, price_series
 
@@ -124,8 +125,7 @@ class TestPriceCommand:
         assert code == 0
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.7)
-        grid = default_pricing_grid(m, s, refine=1)
-        assert json.loads(out)["price"] == discretized_price(m, s, grid).price
+        assert json.loads(out)["price"] == discretized_price(m, s, 1).price
 
     def test_negative_refine_exit_code(self, capsys):
         code, _, err = run_main(
@@ -133,6 +133,33 @@ class TestPriceCommand:
         )
         assert code == 2
         assert "refine" in err
+
+    def test_refine_above_six_exit_code(self, capsys):
+        code, _, err = run_main(
+            capsys, PRICE_ARGS + ["--engine", "discretization", "--refine", "7"]
+        )
+        assert code == 2
+        assert "refine" in err
+
+    def test_umax_truncates_the_inversion(self, capsys):
+        argv = PRICE_ARGS + ["--engine", "gilpelaez", "--format", "json"]
+        code, out, _ = run_main(capsys, argv + ["--umax", "10"])
+        assert code == 0
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        r = gil_pelaez_price(StableModel.from_spec(s, 1.7), s, 10.0)
+        got = json.loads(out)
+        assert got == {
+            "price": r.price,
+            "engine": r.engine,
+            "terms_used": r.terms_used,
+            "error_estimate": r.error_estimate,
+            "diagnostics": r.diagnostics,
+        }
+        assert got["diagnostics"]["u_stop_p1"] == 10.0
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        # Strips start at u = 1e-10, so the default stops at 60 + 1e-10.
+        assert json.loads(out)["diagnostics"]["u_stop_p1"] == pytest.approx(60.0, abs=1e-9)
 
     def test_help_lists_refine_and_no_grid_flags(self, capsys):
         code, out, _ = run_main(capsys, ["price", "--help"])
@@ -320,6 +347,16 @@ class TestImpliedVolCommand:
         )
         assert code == 2
         assert "bounds" in err
+
+    def test_non_positive_tolerance_exit_code(self, capsys):
+        for tol in ("nan", "0"):
+            code, _, err = run_main(
+                capsys,
+                ["implied-vol", "--spot", "3800", "--strike", "4000", "--rate", "0.01",
+                 "--tau", "1", "--alpha", "1.7", "--target", "200", "--tol", tol],
+            )
+            assert code == 2
+            assert "tol" in err
 
 
 class TestModuleInvocation:

@@ -1,4 +1,5 @@
-"""Nested contour trapezoid: equivalence with per-level re-evaluation, and work."""
+"""Contour trapezoid: the nested transform against per-level re-evaluation,
+its work, and the negative-branch ratio against its four-Gamma form."""
 
 import math
 
@@ -8,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from fmls import greens
 from fmls.errors import QuadratureError
-from fmls.greens import MellinLineSettings
 from fmls.model import OptionSpec, StableModel
+from fmls.special_functions import _loggamma_vec
 
 
-def reference_transform(log_x, ratio_fn, line, prefactor):
+def reference_transform(log_x, ratio_fn, prefactor):
     """The transform as it was before nested refinement: every halving
     re-evaluates all nodes and sums with a complex exponential."""
-    probe = np.arange(0.0, line.y_max + greens._H_START, greens._H_START)
+    probe = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
     mags = np.abs(ratio_fn(probe))
     if mags[-1] > greens._TAIL_TOL:
         raise QuadratureError(
-            f"contour integrand still {mags[-1]:.3e} at y_max={line.y_max!r}; "
-            "increase y_max"
+            f"contour integrand still {mags[-1]:.3e} at y = {greens._Y_MAX:g}: it has "
+            "not decayed because alpha is too close to 1"
         )
     big = np.nonzero(mags >= greens._RATIO_CUTOFF)[0]
     y_eff = probe[int(big[-1])] + greens._H_START if big.size else greens._H_START
@@ -49,9 +50,9 @@ def reference_transform(log_x, ratio_fn, line, prefactor):
     )
 
 
-def _outcome(transform, log_x, ratio_fn, line, prefactor):
+def _outcome(transform, log_x, ratio_fn, prefactor):
     try:
-        return transform(log_x, ratio_fn, line, prefactor)
+        return transform(log_x, ratio_fn, prefactor)
     except QuadratureError as exc:
         return str(exc)
 
@@ -65,14 +66,13 @@ def _outcome(transform, log_x, ratio_fn, line, prefactor):
 )
 def test_nested_transform_matches_per_level_reevaluation(alpha, c1, negative, log_x):
     log_x = np.array(log_x)
-    line = MellinLineSettings(c1=c1)
     prefactor = np.exp((c1 - 1.0) * log_x) / (alpha * math.pi)
 
     def ratio_fn(ys):
         return greens._line_ratio(ys, alpha, c1, negative)
 
-    want = _outcome(reference_transform, log_x, ratio_fn, line, prefactor)
-    got = _outcome(greens._half_line_transform, log_x, ratio_fn, line, prefactor)
+    want = _outcome(reference_transform, log_x, ratio_fn, prefactor)
+    got = _outcome(greens._half_line_transform, log_x, ratio_fn, prefactor)
     if isinstance(want, str):
         assert got == want
     else:
@@ -89,7 +89,7 @@ def _counted_transform(alpha, negative, log_x):
         return greens._line_ratio(ys, alpha, 0.5, negative)
 
     prefactor = np.exp(-0.5 * log_x) / (alpha * math.pi)
-    greens._half_line_transform(log_x, ratio_fn, MellinLineSettings(), prefactor)
+    greens._half_line_transform(log_x, ratio_fn, prefactor)
     return sizes
 
 
@@ -97,7 +97,7 @@ def _counted_transform(alpha, negative, log_x):
 @pytest.mark.parametrize("negative", [False, True])
 def test_each_contour_node_is_evaluated_once(alpha, negative):
     sizes = _counted_transform(alpha, negative, np.linspace(-3.0, 3.0, 9))
-    probe = np.arange(0.0, MellinLineSettings().y_max + greens._H_START, greens._H_START)
+    probe = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
     mags = np.abs(greens._line_ratio(probe, alpha, 0.5, negative))
     n0 = int(np.nonzero(mags >= greens._RATIO_CUTOFF)[0][-1]) + 1  # y_eff / 0.25
     halvings = len(sizes) - 1
@@ -118,3 +118,27 @@ def test_paper_contract_work_at_alpha_two():
         part = x[x < 0.0] if negative else x[x > 0.0]
         sizes = _counted_transform(2.0, negative, np.log(np.abs(part)))
         assert sizes == [1601, 207, 414]
+
+
+def four_gamma_ratio(ys, alpha, c1):
+    """The X < 0 contour ratio Gamma(t/alpha) Gamma(1-t) / (Gamma(rho*t)
+    Gamma(1-rho*t)) as four log-Gamma terms, without the reflection."""
+    t = c1 + 1j * ys
+    rho = (alpha - 1.0) / alpha
+    lg = (
+        _loggamma_vec(t / alpha)
+        + _loggamma_vec(1.0 - t)
+        - _loggamma_vec(rho * t)
+        - _loggamma_vec(1.0 - rho * t)
+    )
+    return np.exp(lg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1.02, 2.0, exclude_min=True), c1=st.floats(0.1, 0.9))
+def test_negative_branch_ratio_matches_the_four_gamma_form(alpha, c1):
+    ys = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
+    want = four_gamma_ratio(ys, alpha, c1)
+    got = greens._line_ratio(ys, alpha, c1, negative=True)
+    kept = np.abs(want) >= greens._RATIO_CUTOFF
+    assert np.all(np.abs(got[kept] - want[kept]) <= 1e-13 * np.abs(want[kept]))

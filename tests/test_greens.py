@@ -13,7 +13,6 @@ from fmls.errors import QuadratureError
 from fmls.greens import (
     BoundaryMassWarning,
     DensityGrid,
-    MellinLineSettings,
     build_density_grid,
     cahen_mellin_exp,
     default_pricing_grid,
@@ -70,7 +69,7 @@ class TestStableDensity:
 
     def test_contour_independence(self):
         values = [
-            stable_density(0.5, 1.7, MellinLineSettings(c1=c1)) for c1 in (0.3, 0.5, 0.7)
+            stable_density(0.5, 1.7, c1=c1) for c1 in (0.3, 0.5, 0.7)
         ]
         assert max(values) - min(values) <= 1e-8
 
@@ -100,14 +99,14 @@ class TestStableDensity:
             assert v0 == pytest.approx(stable_density(1e-7, alpha), rel=1e-5)
 
     def test_truncation_error(self):
-        with pytest.raises(QuadratureError):
-            stable_density(0.5, 1.7, MellinLineSettings(y_max=3.0))
+        with pytest.raises(QuadratureError, match="too close to 1"):
+            stable_density(0.5, 1.02)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             stable_density(0.5, 1.0)
         with pytest.raises(ValueError):
-            MellinLineSettings(c1=1.5)
+            stable_density(0.5, 1.7, c1=1.5)
 
 
 class TestDensityGrid:
@@ -169,15 +168,13 @@ class TestDiscretizedPrice:
             target = price_series(m, s).price
             gaps = []
             for refine in (1, 2, 3):
-                grid = default_pricing_grid(m, s, refine=refine)
-                gaps.append(abs(discretized_price(m, s, grid).price - target))
+                gaps.append(abs(discretized_price(m, s, refine).price - target))
             assert gaps[0] > gaps[1] > gaps[2]
 
     def test_refined_grid_close_to_series(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.8)
-        grid = default_pricing_grid(m, s, refine=2)
-        got = discretized_price(m, s, grid).price
+        got = discretized_price(m, s, 2).price
         want = price_series(m, s).price
         assert abs(got - want) / want <= 0.01
 
@@ -193,6 +190,15 @@ class TestDiscretizedPrice:
                 assert grid.y_min == pytest.approx(-half_width * scale, rel=1e-12)
                 assert grid.y_max == pytest.approx(half_width * scale, rel=1e-12)
                 assert grid.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_refine_outside_zero_to_six_raises(self):
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.8)
+        for refine in (-1, 7, 10):
+            with pytest.raises(ValueError, match="refine"):
+                default_pricing_grid(m, s, refine)
+            with pytest.raises(ValueError, match="refine"):
+                discretized_price(m, s, refine)
 
     def test_result_metadata(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)

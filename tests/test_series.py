@@ -311,3 +311,5 @@ class TestImpliedVol:
             implied_vol(4200, 4000, 0.01, 1.0, 1.7, intrinsic * 0.5)  # below intrinsic
         with pytest.raises(ValueError):
             implied_vol(3800, 4000, 0.01, 1.0, 1.7, 100.0, tol=0.0)
+        with pytest.raises(ValueError):
+            implied_vol(3800, 4000, 0.01, 1.0, 1.7, 100.0, tol=math.nan)
