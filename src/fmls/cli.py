@@ -274,7 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("implied-vol", help="invert the series price for sigma")
+    p = sub.add_parser(
+        "implied-vol",
+        help="invert the series price for sigma by a bracketed secant "
+        "from the Black-Scholes implied vol",
+    )
     _add_market_flags(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--target", type=float, required=True, help="observed call price")

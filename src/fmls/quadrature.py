@@ -84,9 +84,10 @@ def adaptive_gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-10,
-    max_subdivisions: int = 200,
+    *,
+    rel_tol: float,
+    abs_tol: float,
+    max_subdivisions: int,
 ) -> tuple[float, float, int]:
     """Integrate ``f`` on [a, b]; returns (value, error_estimate, evaluations).
 

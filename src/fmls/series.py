@@ -20,11 +20,12 @@ overflow into an explicit error instead of inf.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bs import bs_price
 from .errors import ConvergenceError, NumericalError, SeriesOverflowError
 from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .special_functions import ln_gamma_real, reciprocal_gamma
@@ -45,7 +46,6 @@ _MAX_TERM_LOG = 700.0
 
 _IV_SIGMA_LO = 1e-4
 _IV_SIGMA_HI = 5.0
-_IV_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class Truncation:
         return 1e-8 * strike if self.tail_tol is None else self.tail_tol
 
 
-# Rectangle of every implied-vol reprice, wider than the default because the
-# bisection visits sigmas up to _IV_SIGMA_HI.
+# Rectangle of every implied-vol reprice, wider than the default because a
+# solve may step to any sigma of its bracket, up to _IV_SIGMA_HI.
 _IV_TRUNC = Truncation(n_max=40, m_max=56)
 
 
@@ -273,6 +273,49 @@ def atmf_bs_series(
     raise ValueError(f"unknown representation {representation!r}")
 
 
+def _bracketed_secant(
+    diff: Callable[[float], float], sigma: float, slope: float | None, tol: float
+) -> tuple[float, float, float | None]:
+    """The search :func:`implied_vol` describes, on the increasing ``diff``,
+    from ``sigma`` with ``slope`` for the first secant (None: a midpoint).
+
+    Returns (sigma, |diff(sigma)|, last secant slope) at the evaluated point
+    of least |diff|: one within ``tol``, or the best one once the midpoint of
+    the bracket equals one of its ends.
+    """
+    lo, hi = _IV_SIGMA_LO, _IV_SIGMA_HI
+    best, best_abs = sigma, math.inf
+    prev = None  # (sigma, diff) of the last finite evaluation
+    steps = [math.inf, math.inf]  # the last two steps taken
+    while True:
+        try:
+            value = diff(sigma)
+        except NumericalError:
+            value = math.inf
+        if abs(value) < best_abs:
+            best, best_abs = sigma, abs(value)
+        if best_abs <= tol:
+            return best, best_abs, slope
+        if value > 0.0:
+            hi = sigma
+        else:
+            lo = sigma
+        if math.isfinite(value):
+            if prev is not None:
+                slope = (value - prev[1]) / (sigma - prev[0])
+            prev = (sigma, value)
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return best, best_abs, slope
+        step = mid - sigma
+        if math.isfinite(value) and slope is not None and slope > 0.0:
+            secant = -value / slope
+            if lo < sigma + secant < hi and abs(secant) < 0.5 * abs(steps[0]):
+                step = secant
+        steps = [steps[1], step]
+        sigma += step
+
+
 def implied_vol(
     spot: float,
     strike: float,
@@ -282,10 +325,28 @@ def implied_vol(
     target_price: float,
     tol: float = 1e-9,
 ) -> float:
-    """Invert the series price for sigma by bracketing bisection.
+    """Invert the series price for sigma by a bracketed secant seeded at the
+    Black-Scholes implied vol.
 
-    ``tol`` is a currency tolerance on the repriced value.  The target must
-    respect the no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.
+    The seed is the sigma at which :func:`bs_price` meets the target, found
+    by the same search on the Black-Scholes price, so it costs no series
+    term; at alpha = 2 it is already the root.  From there each step is a
+    secant step on ``price_series(..., _IV_TRUNC)`` through the last two
+    finite values (the first uses the Black-Scholes slope at the seed).
+    Every evaluated sign tightens the bracket [_IV_SIGMA_LO, _IV_SIGMA_HI].
+    The step falls back to the bracket midpoint whenever the secant step
+    would leave the open bracket, has a non-positive or non-finite slope,
+    or is not less than half the step taken two iterations before (Brent's
+    guard).
+
+    ``tol`` bounds the repriced value: the returned sigma has
+    |series price - target| <= tol, in currency.  A :class:`NumericalError`
+    from a reprice counts as sigma above the root, because the series leaves
+    the representable range only for large sigma, where the price exceeds
+    any admissible target.  Raises :class:`ConvergenceError` once the
+    midpoint of the bracket equals one of its ends with no sigma within
+    ``tol``: the series price jumps there.  The target must respect the
+    no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -295,30 +356,28 @@ def implied_vol(
             f"target_price {target_price!r} outside the no-arbitrage bounds "
             f"({intrinsic:.6g}, {spot:.6g})"
         )
-    lo, hi = _IV_SIGMA_LO, _IV_SIGMA_HI
+
+    def spec_at(sigma: float) -> OptionSpec:
+        return OptionSpec(spot=spot, strike=strike, rate=rate, sigma=sigma, tau=tau)
+
+    def series_diff(sigma: float) -> float:
+        spec = spec_at(sigma)
+        model = StableModel.from_spec(spec, alpha)
+        return price_series(model, spec, _IV_TRUNC).price - target_price
+
     # The bracket holds mathematically: price -> intrinsic as sigma -> 0 and
     # -> spot as sigma -> inf, so the endpoints are never evaluated.
-    for _ in range(_IV_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        try:
-            spec = OptionSpec(
-                spot=spot, strike=strike, rate=rate, sigma=mid, tau=tau
-            )
-            diff = (
-                price_series(StableModel.from_spec(spec, alpha), spec, _IV_TRUNC).price
-                - target_price
-            )
-        except NumericalError:
-            # The series leaves the representable range only for large
-            # sigma, where the price exceeds any admissible target.
-            hi = mid
-            continue
-        if abs(diff) <= tol:
-            return mid
-        if diff > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(
-        f"implied_vol did not reach tol={tol!r} within {_IV_MAX_ITER} bisections"
+    seed, _, vega = _bracketed_secant(
+        lambda sigma: bs_price(spec_at(sigma)) - target_price,
+        0.5 * (_IV_SIGMA_LO + _IV_SIGMA_HI),
+        None,
+        tol,
     )
+    sigma, miss, _ = _bracketed_secant(series_diff, seed, vega, tol)
+    if miss > tol:
+        raise ConvergenceError(
+            f"implied_vol stopped at sigma={sigma!r} with |price - target| = "
+            f"{miss:.3e} > tol={tol!r}: the bracket can no longer shrink, so "
+            f"the series price is discontinuous there"
+        )
+    return sigma

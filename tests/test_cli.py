@@ -358,6 +358,17 @@ class TestImpliedVolCommand:
             assert code == 2
             assert "tol" in err
 
+    def test_discontinuous_series_exit_code(self, capsys):
+        code, _, err = run_main(
+            capsys,
+            ["implied-vol", "--spot", "100", "--strike", "116.75510037690402",
+             "--rate", "0.01", "--tau", "0.35155018069781363",
+             "--alpha", "1.5168800568208098", "--target", "0.0007297654992349661"],
+        )
+        assert code == 3
+        assert "bracket can no longer shrink" in err
+        assert "discontinuous" in err
+
 
 class TestModuleInvocation:
     def test_subprocess_price(self):

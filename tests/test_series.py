@@ -1,10 +1,11 @@
 """Double-series engine: golden tables, degenerations, inversion, properties."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from golden import (
     COMPARISON_ALPHAS,
@@ -18,6 +19,7 @@ from golden import (
     TABLE2_TERMS,
 )
 
+from fmls import series
 from fmls.bs import bs_atmf_price, bs_price
 from fmls.errors import ConvergenceError, NumericalError, SeriesOverflowError
 from fmls.model import OptionSpec, StableModel
@@ -33,6 +35,26 @@ from fmls.series import (
 
 def spec_otm(tau: float = 1.0) -> OptionSpec:
     return OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=tau)
+
+
+# A smile_calibration solve on which the series price jumps near its root:
+# no sigma reprices within the default tol, and the bracket collapses.
+DISCONTINUOUS_SOLVE = dict(
+    spot=100.0,
+    strike=116.75510037690402,
+    rate=0.01,
+    tau=0.35155018069781363,
+    alpha=1.5168800568208098,
+    target_price=0.0007297654992349661,
+)
+
+
+@pytest.fixture
+def reprices(monkeypatch):
+    """Counts the price_series calls implied_vol makes through the module global."""
+    counter = mock.Mock(wraps=price_series)
+    monkeypatch.setattr(series, "price_series", counter)
+    return counter
 
 
 def spec_itm() -> OptionSpec:
@@ -281,25 +303,61 @@ class TestAtmfSeries:
 
 
 class TestImpliedVol:
-    def test_round_trip_stable(self):
+    # At alpha = 2 the Black-Scholes seed is already the root, so the
+    # secant only closes the gap between the series and bs_price.
+    def test_round_trip_stable(self, reprices):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
         target = price_series(m, s).price
         got = implied_vol(3800, 4000, 0.01, 1.0, 1.7, target, tol=1e-10)
         assert abs(got - 0.2) <= 1e-6
+        assert reprices.call_count <= 8
 
-    def test_round_trip_gaussian(self):
+    def test_round_trip_gaussian(self, reprices):
         s = spec_otm()
         m = StableModel.from_spec(s, 2.0)
         target = price_series(m, s).price
         got = implied_vol(3800, 4000, 0.01, 1.0, 2.0, target, tol=1e-10)
         assert abs(got - 0.2) <= 1e-6
+        assert reprices.call_count <= 4
 
-    def test_black_scholes_oracle(self):
+    def test_black_scholes_oracle(self, reprices):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.35, tau=1.0)
         target = bs_price(s)
         got = implied_vol(3800, 4000, 0.01, 1.0, 2.0, target, tol=1e-10)
         assert abs(got - 0.35) <= 1e-6
+        assert reprices.call_count <= 4
+
+    def test_stops_once_the_bracket_cannot_shrink(self, reprices):
+        with pytest.raises(ConvergenceError, match="discontinuous") as info:
+            implied_vol(**DISCONTINUOUS_SOLVE)
+        assert "sigma=" in str(info.value) and "|price - target|" in str(info.value)
+        assert reprices.call_count <= 100
+
+    # The smile_calibration box; the target is the series price itself.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        moneyness=st.floats(0.8, 1.25),
+        alpha=st.floats(1.5, 2.0),
+        tau=st.floats(0.25, 2.0),
+        sigma=st.floats(0.1, 0.5),
+    )
+    def test_solve_meets_tol_in_few_reprices_or_raises(self, moneyness, alpha, tau, sigma):
+        s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
+        try:
+            target = price_series(StableModel.from_spec(s, alpha), s, series._IV_TRUNC).price
+        except NumericalError:
+            assume(False)
+        assume(max(s.spot - s.strike * math.exp(-s.rate * tau), 0.0) < target < s.spot)
+        with mock.patch.object(series, "price_series", wraps=price_series) as reprice:
+            try:
+                got = implied_vol(s.spot, s.strike, s.rate, tau, alpha, target)
+            except NumericalError:
+                return
+        assert reprice.call_count <= 12
+        back = OptionSpec(spot=s.spot, strike=s.strike, rate=s.rate, sigma=got, tau=tau)
+        repriced = price_series(StableModel.from_spec(back, alpha), back, series._IV_TRUNC)
+        assert abs(repriced.price - target) <= 1e-9
 
     def test_bound_violations(self):
         with pytest.raises(ValueError):
