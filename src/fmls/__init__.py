@@ -9,7 +9,7 @@ Four engines share one set of market/model records:
 - ``bs_price``: the Black-Scholes closed form, exact at stability index 2.
 """
 
-from .bs import bs_atmf_price, bs_price
+from .bs import bs_price
 from .charfn import char_fn, gil_pelaez_price
 from .errors import (
     ConvergenceError,
@@ -37,7 +37,6 @@ from .model import (
 from .series import (
     SeriesTable,
     Truncation,
-    atmf_bs_series,
     convergence_table,
     implied_vol,
     price_series,
@@ -65,8 +64,6 @@ __all__ = [
     "SeriesTable",
     "StableModel",
     "Truncation",
-    "atmf_bs_series",
-    "bs_atmf_price",
     "bs_price",
     "build_density_grid",
     "char_fn",

@@ -1,4 +1,4 @@
-"""Black-Scholes closed form and its at-the-money-forward reductions.
+"""Black-Scholes closed form.
 
 This is the exact ground truth the stable-model engines must reproduce at
 stability index 2.
@@ -9,14 +9,9 @@ from __future__ import annotations
 import math
 
 from .model import OptionSpec, log_moneyness
-from .special_functions import normal_cdf, reciprocal_gamma
+from .special_functions import normal_cdf
 
-__all__ = [
-    "bs_price",
-    "bs_atmf_price",
-    "atmf_term_alternating",
-    "atmf_term_half_integer_gamma",
-]
+__all__ = ["bs_price"]
 
 
 def bs_price(spec: OptionSpec) -> float:
@@ -28,47 +23,3 @@ def bs_price(spec: OptionSpec) -> float:
     return spec.spot * normal_cdf(d_plus) - spec.strike * math.exp(
         -spec.rate * spec.tau
     ) * normal_cdf(d_minus)
-
-
-def bs_atmf_price(spot: float, sigma: float, tau: float) -> float:
-    """Call price when S = K*exp(-r*tau): S*(N(v/2) - N(-v/2)), v = sigma*sqrt(tau)."""
-    if spot <= 0.0 or sigma <= 0.0 or tau <= 0.0:
-        raise ValueError("bs_atmf_price requires positive spot, sigma, tau")
-    half_vol = 0.5 * sigma * math.sqrt(tau)
-    return spot * (normal_cdf(half_vol) - normal_cdf(-half_vol))
-
-
-def atmf_term_alternating(n: int, spot: float, sigma: float, tau: float) -> float:
-    """n-th term of the ATMF expansion in its alternating-factorial form:
-
-        (S/sqrt(pi)) * (-1)^n * y^(2n+1) / (n! * 4^n * (2n+1)),  y = sigma*sqrt(tau/2)
-    """
-    if n < 0:
-        raise ValueError("term index must be >= 0")
-    y = sigma * math.sqrt(0.5 * tau)
-    sign = -1.0 if n % 2 else 1.0
-    return (
-        spot
-        / math.sqrt(math.pi)
-        * sign
-        * y ** (2 * n + 1)
-        / (math.factorial(n) * 4.0**n * (2 * n + 1))
-    )
-
-
-def atmf_term_half_integer_gamma(
-    n: int, spot: float, sigma: float, tau: float
-) -> float:
-    """n-th term of the same expansion written with half-integer Gamma values:
-
-        S * y^(2n+1) / ((2n+1)! * Gamma(1/2 - n)),  y = sigma*sqrt(tau/2)
-    """
-    if n < 0:
-        raise ValueError("term index must be >= 0")
-    y = sigma * math.sqrt(0.5 * tau)
-    return (
-        spot
-        * y ** (2 * n + 1)
-        * reciprocal_gamma(0.5 - n)
-        / math.factorial(2 * n + 1)
-    )

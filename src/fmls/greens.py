@@ -19,8 +19,7 @@ nodes and reuses the previous level's sum, so every contour node is
 evaluated once.  The oscillatory sum is taken in real arithmetic (cosine and
 sine against the real and imaginary parts of the ratio).
 Gamma ratios are assembled in log space (direct products overflow for
-moderate |y|).  The same machinery exposes the classical identity
-exp(-x) = integral of Gamma(s) x^{-s} along Re(s) = c as a self-test.
+moderate |y|).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "BoundaryMassWarning",
     "stable_density",
     "stable_density_values",
-    "cahen_mellin_exp",
     "build_density_grid",
     "discretized_price",
 ]
@@ -166,7 +164,8 @@ def stable_density_values(
     density does not depend on it, up to quadrature error.
     X = 0 entries take the limit of the X > 0 branch, which the residue
     expansion gives in closed form: g(0) = (1/alpha) / Gamma(1 - 1/alpha)
-    (equal to 1/(2 sqrt(pi)) in the Gaussian case).
+    (equal to 1/(2 sqrt(pi)) in the Gaussian case).  A non-finite point
+    raises ``ValueError``.
     """
     c1 = _C1 if c1 is None else c1
     if not (0.0 < c1 < 1.0):
@@ -174,6 +173,8 @@ def stable_density_values(
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("density points must be finite")
     flat = x.ravel()
     out = np.empty(flat.size)
     # Points this close to zero take the limit value; the density is smooth
@@ -204,27 +205,6 @@ def stable_density(x: float, alpha: float, c1: float | None = None) -> float:
     return float(stable_density_values(np.array([float(x)]), alpha, c1)[0])
 
 
-def cahen_mellin_exp(x: float, c: float) -> float:
-    """exp(-x) recovered from the contour integral of Gamma(s) x^{-s}.
-
-    Exists purely as a soundness check of the vertical-line quadrature:
-    any c > 0 must give the same answer.  Raises ``ValueError`` when c <= 0
-    (outside the strip where the transform converges).
-    """
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"x must be positive and finite, got {x!r}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"c must be positive and finite, got {c!r}")
-    # Reuse the transform with ratio Gamma(c + i*y) and phase e^{-i*y*log x};
-    # the contour abscissa is c itself, not the density's c1.
-    val = _half_line_transform(
-        np.array([-math.log(x)]),
-        lambda ys: np.exp(_loggamma_vec(c + 1j * ys)),
-        prefactor=x**-c / math.pi,
-    )[0]
-    return float(val)
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     """Uniform samples of the log-return density used by the convolution sum."""
@@ -237,13 +217,18 @@ class DensityGrid:
     def __post_init__(self) -> None:
         if self.n_points < 3:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
-        if not (self.y_max > self.y_min):
-            raise ValueError("need y_max > y_min")
+        if not (
+            math.isfinite(self.y_min)
+            and math.isfinite(self.y_max)
+            and self.y_max > self.y_min
+        ):
+            raise ValueError("need finite y_min < y_max")
         if len(self.values) != self.n_points:
             raise ValueError("values length must equal n_points")
-        if float(np.min(self.values)) < _NEGATIVITY_TOL:
+        lowest = float(np.min(self.values))
+        if not (lowest >= _NEGATIVITY_TOL):  # also catches NaN
             raise ValueError(
-                f"grid density negative beyond tolerance: {float(np.min(self.values)):.3e}"
+                f"grid density negative beyond tolerance or NaN: {lowest:.3e}"
             )
 
     @property
@@ -291,8 +276,8 @@ def build_density_grid(
         y_min = -_GRID_HALF_WIDTH * scale
     if y_max is None:
         y_max = _GRID_HALF_WIDTH * scale
-    if not (y_max > y_min):
-        raise ValueError("need y_max > y_min")
+    if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
+        raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
     ys = np.linspace(y_min, y_max, n_points)
     values = stable_density_values(ys / scale, alpha, c1) / scale
     edge = max(values[0] * scale, values[-1] * scale)  # in scaled-variable units

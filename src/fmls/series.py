@@ -36,7 +36,6 @@ __all__ = [
     "series_term",
     "price_series",
     "convergence_table",
-    "atmf_bs_series",
     "implied_vol",
 ]
 
@@ -124,13 +123,6 @@ def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
     return sign * math.exp(log_mag)
 
 
-def _kahan_add(total: float, comp: float, value: float) -> tuple[float, float]:
-    y = value - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def _columns(
     model: StableModel, spec: OptionSpec, trunc: Truncation
 ) -> Iterator[tuple[list[float], float, float]]:
@@ -146,7 +138,10 @@ def _columns(
         col_abs = 0.0
         for n in range(trunc.n_max + 1):
             t = series_term(model, spec, n, m)
-            total, comp = _kahan_add(total, comp, t)
+            y = t - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
             col_abs += abs(t)
             terms.append(t)
         yield terms, total, col_abs
@@ -214,63 +209,6 @@ def convergence_table(
         partial_sums=np.array(totals),
         converged_price=totals[-1],
     )
-
-
-def atmf_bs_series(
-    spot: float,
-    sigma: float,
-    tau: float,
-    order: int,
-    representation: str = "single",
-) -> float:
-    """Partial sum of the at-the-money-forward expansion at stability index 2.
-
-    ``representation`` selects between the two equivalent forms:
-
-    - ``"single"``: one term per odd power of sigma*sqrt(tau), evaluated by
-      ratio recurrence from the leading term S*sigma*sqrt(tau)/sqrt(2*pi);
-    - ``"double"``: the (n, m) double sum restricted to total degree
-      n + m <= 2*order + 1, whose even powers cancel identically.
-
-    Both return the same partial sum up to rounding.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if order > 100:
-        raise ValueError(f"order capped at 100, got {order}")
-    if spot <= 0.0 or tau <= 0.0 or sigma < 0.0:
-        raise ValueError("atmf_bs_series requires spot > 0, tau > 0, sigma >= 0")
-    if sigma == 0.0:
-        return 0.0
-    if representation == "single":
-        term = spot * sigma * math.sqrt(tau) / math.sqrt(2.0 * math.pi)
-        total = term
-        q = 0.5 * sigma * sigma * tau
-        for j in range(order):
-            term *= -q * (2 * j + 1) / (4.0 * (j + 1) * (2 * j + 3))
-            total += term
-        return total
-    if representation == "double":
-        x = sigma * math.sqrt(tau) / math.sqrt(2.0)
-        degree = 2 * order + 1
-        total = 0.0
-        comp = 0.0
-        for m in range(1, degree + 1):
-            for n in range(0, degree - m + 1):
-                rg = reciprocal_gamma(1.0 - (n - m) / 2.0)
-                if rg == 0.0:
-                    continue
-                t = (
-                    0.5
-                    * spot
-                    * (-1.0 if n % 2 else 1.0)
-                    * rg
-                    * x ** (n + m)
-                    / math.factorial(n)
-                )
-                total, comp = _kahan_add(total, comp, t)
-        return total
-    raise ValueError(f"unknown representation {representation!r}")
 
 
 def _bracketed_secant(

@@ -23,11 +23,11 @@ from golden import (
     TABLE2_SLACK,
     TABLE2_TERMS,
 )
+from paper_checks import atmf_bs_series, bs_atmf_price, cahen_mellin_exp
 
-from fmls.bs import bs_atmf_price, bs_price
+from fmls.bs import bs_price
 from fmls.charfn import char_fn, gil_pelaez_price
 from fmls.greens import (
-    cahen_mellin_exp,
     discretized_price,
     stable_density,
     stable_density_values,
@@ -35,7 +35,6 @@ from fmls.greens import (
 from fmls.model import OptionSpec, StableModel, martingale_drift
 from fmls.series import (
     Truncation,
-    atmf_bs_series,
     convergence_table,
     implied_vol,
     price_series,

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fmls.bs import (
+from paper_checks import (
     atmf_term_alternating,
     atmf_term_half_integer_gamma,
     bs_atmf_price,
-    bs_price,
 )
+
+from fmls.bs import bs_price
 from fmls.model import OptionSpec
 
 

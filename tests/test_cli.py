@@ -317,6 +317,17 @@ class TestDensityCommand:
         assert proc.returncode == 0
         assert "grid edge" in proc.stderr
 
+    def test_non_finite_bounds_exit_code(self, capsys):
+        for bounds in (["--ymin=-inf", "--ymax", "0"], ["--ymin", "0", "--ymax", "nan"]):
+            code, out, err = run_main(
+                capsys,
+                ["density", "--alpha", "1.7", "--sigma", "0.2", "--tau", "1",
+                 "--points", "5", *bounds],
+            )
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
+
     def test_contour_flag(self, capsys):
         code1, out1, _ = run_main(capsys, self.DENSITY_ARGS + ["--points", "11", "--c1", "0.4"])
         code2, out2, _ = run_main(capsys, self.DENSITY_ARGS + ["--points", "11", "--c1", "0.6"])

@@ -8,13 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
+from paper_checks import cahen_mellin_exp
 
 from fmls.errors import QuadratureError
 from fmls.greens import (
     BoundaryMassWarning,
     DensityGrid,
     build_density_grid,
-    cahen_mellin_exp,
     default_pricing_grid,
     discretized_price,
     stable_density,
@@ -108,6 +108,14 @@ class TestStableDensity:
         with pytest.raises(ValueError):
             stable_density(0.5, 1.7, c1=1.5)
 
+    def test_non_finite_points(self):
+        # Rejected up front: no quadrature runs, so no warning and no halving.
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                stable_density(x, 1.7)
+        with pytest.raises(ValueError, match="finite"):
+            stable_density_values(np.array([0.5, math.nan, -0.5]), 1.7)
+
 
 class TestDensityGrid:
     def test_gaussian_grid_matches_heat_kernel(self):
@@ -150,6 +158,13 @@ class TestDensityGrid:
             DensityGrid(
                 y_min=0.0, y_max=1.0, n_points=3, values=np.array([0.1, -1e-6, 0.1])
             )
+        with pytest.raises(ValueError):
+            DensityGrid(
+                y_min=0.0, y_max=1.0, n_points=3, values=np.array([0.1, math.nan, 0.1])
+            )
+        for y_min, y_max in [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                DensityGrid(y_min=y_min, y_max=y_max, n_points=3, values=np.full(3, 0.1))
 
 
 class TestDiscretizedPrice:

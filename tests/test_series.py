@@ -18,14 +18,14 @@ from golden import (
     TABLE2_SLACK,
     TABLE2_TERMS,
 )
+from paper_checks import atmf_bs_series, bs_atmf_price
 
 from fmls import series
-from fmls.bs import bs_atmf_price, bs_price
+from fmls.bs import bs_price
 from fmls.errors import ConvergenceError, NumericalError, SeriesOverflowError
 from fmls.model import OptionSpec, StableModel
 from fmls.series import (
     Truncation,
-    atmf_bs_series,
     convergence_table,
     implied_vol,
     price_series,
@@ -278,6 +278,18 @@ class TestAtmfSeries:
             single = atmf_bs_series(100.0, 0.3, 2.0, order)
             double = atmf_bs_series(100.0, 0.3, 2.0, order, representation="double")
             assert single == pytest.approx(double, rel=1e-13), f"order={order}"
+
+    # "double" sums the engine's own series_term, so this checks the engine.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma=st.floats(0.05, 0.5),
+        tau=st.floats(0.1, 4.0),
+        order=st.integers(0, 10),
+    )
+    def test_representations_agree_everywhere(self, sigma, tau, order):
+        single = atmf_bs_series(100.0, sigma, tau, order)
+        double = atmf_bs_series(100.0, sigma, tau, order, representation="double")
+        assert single == pytest.approx(double, rel=1e-13)
 
     def test_order_zero_is_brenner_subrahmanyam(self):
         got = atmf_bs_series(100.0, 0.2, 1.0, 0)
