@@ -1,5 +1,6 @@
 """Contour trapezoid: the nested transform against per-level re-evaluation,
-its work, and the negative-branch ratio against its four-Gamma form."""
+its work, the blocked phase sum against the direct one, and the
+negative-branch ratio against its four-Gamma form."""
 
 import math
 
@@ -100,10 +101,15 @@ def test_each_contour_node_is_evaluated_once(alpha, negative):
     probe = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
     mags = np.abs(greens._line_ratio(probe, alpha, 0.5, negative))
     n0 = int(np.nonzero(mags >= greens._RATIO_CUTOFF)[0][-1]) + 1  # y_eff / 0.25
-    halvings = len(sizes) - 1
-    assert sizes[0] == probe.size
+    # The tail node, then probe blocks up to the first one wholly below the
+    # cutoff, then each level's new nodes.
+    block = greens._PROBE_BLOCK
+    probed = min(((n0 - 1) // block + 2) * block, probe.size)
+    probe_sizes = [min(block, probed - lo) for lo in range(0, probed, block)]
+    halvings = len(sizes) - 1 - len(probe_sizes)
+    assert sizes[: 1 + len(probe_sizes)] == [1] + probe_sizes
     assert halvings >= 1
-    assert sum(sizes) == probe.size + n0 * (2**halvings - 1)
+    assert sum(sizes) == 1 + probed + n0 * (2**halvings - 1)
 
 
 def test_paper_contract_work_at_alpha_two():
@@ -112,12 +118,54 @@ def test_paper_contract_work_at_alpha_two():
     grid = greens.default_pricing_grid(model, spec)
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     x = grid.ys / scale
-    # Per branch: the 1601-node probe, then 207 and 414 new odd nodes over two
-    # halvings (re-evaluating every level would take 3053).
+    # Per branch: the tail node at y = 400, three 128-node probe blocks (the
+    # third lies wholly below the cutoff), then 207 and 414 new odd nodes over
+    # two halvings (re-evaluating every level would take 3053).
     for negative in (False, True):
         part = x[x < 0.0] if negative else x[x > 0.0]
         sizes = _counted_transform(2.0, negative, np.log(np.abs(part)))
-        assert sizes == [1601, 207, 414]
+        assert sizes == [1, 128, 128, 128, 207, 414]
+
+
+def test_both_branches_share_each_contour_node(monkeypatch):
+    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+    model = StableModel.from_spec(spec, 2.0)
+    grid = greens.default_pricing_grid(model, spec)
+    scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
+    args = []
+
+    def recording(z):
+        args.append(np.array(z))
+        return _loggamma_vec(z)
+
+    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    greens.stable_density_values(grid.ys / scale, 2.0)
+    # log Gamma(1-t) and log Gamma(1-t/2) at the 1 + 384 + 207 + 414 nodes of
+    # one branch (above); both branches read them, and no argument repeats.
+    points = np.concatenate(args)
+    assert points.size == 2 * (1 + 384 + 207 + 414)
+    assert np.unique(points).size == points.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 2000),
+    dy=st.floats(1e-3, 1.0),
+    start_at_dy=st.booleans(),
+    log_x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_phase_sum_matches_the_direct_sum(size, dy, start_at_dy, log_x, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    log_x = np.array(log_x)
+    y0 = dy if start_at_dy else 0.0
+    phase = np.outer(log_x, y0 + dy * np.arange(size))
+    want = np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag
+    got = greens._phase_sum(log_x, y0, dy, coeffs)
+    eps = np.finfo(float).eps
+    tol = 4.0 * eps * (1.0 + float(np.max(np.abs(phase)))) * float(np.sum(np.abs(coeffs)))
+    assert float(np.max(np.abs(got - want))) <= tol
 
 
 def four_gamma_ratio(ys, alpha, c1):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
 from paper_checks import cahen_mellin_exp
 
+from fmls.charfn import gil_pelaez_price
 from fmls.errors import QuadratureError
 from fmls.greens import (
     BoundaryMassWarning,
@@ -223,3 +224,27 @@ class TestDiscretizedPrice:
         assert r.terms_used == 141
         assert r.diagnostics["grid_mass"] == pytest.approx(1.0, abs=1e-12)
         assert r.error_estimate >= 0.0
+
+    def test_error_estimate_bounds_the_gap_to_fourier_inversion(self):
+        # The renormalized grid carries the leaked left-tail mass into the
+        # price; at S = 4200, alpha = 1.7 the gap is 2.09.
+        for spot in (3800, 4200):
+            for alpha in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
+                s = OptionSpec(spot=spot, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+                m = StableModel.from_spec(s, alpha)
+                got = discretized_price(m, s)
+                ref = gil_pelaez_price(m, s)
+                gap = abs(got.price - ref.price)
+                assert gap <= got.error_estimate + ref.error_estimate, (spot, alpha)
+
+    def test_raw_mass_is_the_mass_before_renormalization(self):
+        s = OptionSpec(spot=4200, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.7)
+        grid = default_pricing_grid(m, s)
+        raw = build_density_grid(
+            m.alpha, m.mu, s.tau, grid.y_min, grid.y_max, grid.n_points, boundary_tol=math.inf
+        )
+        r = discretized_price(m, s)
+        assert r.diagnostics["raw_mass"] == raw.mass()
+        assert 0.99 < raw.mass() < 0.999
+        assert r.diagnostics["grid_mass"] == grid.mass()
