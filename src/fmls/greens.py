@@ -54,6 +54,7 @@ _MAX_HALVINGS = 10
 _RATIO_CUTOFF = 1e-18  # drop the contour tail once the ratio is this small
 _PROBE_BLOCK = 128  # probe nodes evaluated at a time while seeking the cutoff
 _TAIL_TOL = 1e-12  # ratio magnitude still allowed at _Y_MAX
+_FLOOR_SHARE = 1e-9  # largest roundoff floor accepted, relative to the result
 _NEGATIVITY_TOL = -1e-8
 _CHUNK = 512
 
@@ -170,7 +171,8 @@ def _half_line_transform(
     new odd nodes and updates T(h/2) = T(h)/2 + (h/2) * sum over the odd
     nodes, so every contour node is evaluated once.  Each level's phase sum
     is taken by angle addition (:func:`_phase_sum`).  The step is halved
-    until the result moves by less than 1e-11 (or than its roundoff floor).
+    until the result moves by less than 1e-11 (or than its roundoff floor,
+    which must then stay under 1e-11 or 1e-9 of the result, or it raises).
     """
     tail = float(np.abs(ratio_fn(np.array([_Y_MAX]))[0]))
     if tail > _TAIL_TOL:
@@ -209,8 +211,12 @@ def _half_line_transform(
         abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
         n *= 2
         refined = prefactor * total
-        noise = np.abs(prefactor) * abs_total * 1e-16
-        if np.all(np.abs(refined - current) < np.maximum(_STEP_TOL, 8.0 * noise)):
+        floor = 8.0 * np.abs(prefactor) * abs_total * 1e-16
+        if np.all(np.abs(refined - current) < np.maximum(_STEP_TOL, floor)):
+            if np.any(floor > np.maximum(_STEP_TOL, _FLOOR_SHARE * np.abs(refined))):
+                raise QuadratureError(
+                    f"contour sum lost to roundoff (floor {np.max(floor):.3e})"
+                )
             return refined
         current = refined
     raise QuadratureError(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from golden import (
@@ -85,6 +86,28 @@ class TestGilPelaez:
                 s = OptionSpec(spot=100 * mon, strike=100, rate=0.02, sigma=0.25, tau=tau)
                 m = StableModel.from_spec(s, 2.0)
                 assert abs(gil_pelaez_price(m, s).price - bs_price(s)) <= 1e-4 * 100
+
+    # alpha = 2 against the closed form, sliver [0, 1e-10] included: the
+    # error estimate bounds the gap up to 1e-12 of the strike.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        moneyness=st.floats(0.7, 1.5),
+        tau=st.floats(0.25, 2.0),
+        sigma=st.floats(0.1, 0.5),
+    )
+    def test_error_estimate_bounds_the_gap_to_black_scholes(self, moneyness, tau, sigma):
+        s = OptionSpec(spot=100.0 * moneyness, strike=100.0, rate=0.01, sigma=sigma, tau=tau)
+        r = gil_pelaez_price(StableModel.from_spec(s, 2.0), s)
+        assert abs(r.price - bs_price(s)) <= r.error_estimate + 1e-12 * s.strike
+
+    def test_paper_cells_take_at_most_two_levels(self):
+        # One integrand call per level, every strip of P1 and P2 in it.
+        for spot in (3800, 4200):
+            for alpha in COMPARISON_ALPHAS:
+                s = OptionSpec(spot=spot, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+                d = gil_pelaez_price(StableModel.from_spec(s, alpha), s).diagnostics
+                assert 1 <= d["levels"] <= 2
+                assert d["panels"] >= 2 * (40 + 17)  # 40 strips, 18 panels in strip 0
 
     def test_probabilities_in_unit_interval(self):
         for spot in (3800, 4200):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
@@ -51,6 +52,22 @@ class TestCahenMellin:
     def test_known_values(self):
         assert cahen_mellin_exp(1.0, 0.5) == pytest.approx(math.exp(-1.0), abs=1e-8)
         assert cahen_mellin_exp(0.5, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-8)
+
+    def test_sum_lost_to_roundoff_raises(self):
+        # Gamma(20 + iy) is about 1e17 near y = 0; the sum cancels to 0.37.
+        with pytest.raises(QuadratureError, match="roundoff"):
+            cahen_mellin_exp(1.0, 20.0)
+
+    # Every abscissa gives exp(-x) or raises.  Below c = 1e-300, Gamma(c)
+    # itself overflows a double.
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.1, 10.0), c=st.floats(1e-300, 60.0))
+    def test_any_abscissa_gives_exp_or_raises(self, x, c):
+        try:
+            value = cahen_mellin_exp(x, c)
+        except QuadratureError:
+            return
+        assert abs(value - math.exp(-x)) <= 1e-8
 
     def test_outside_strip(self):
         with pytest.raises(ValueError):
