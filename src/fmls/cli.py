@@ -270,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=4001)
     p.add_argument(
         "--c1", type=float, default=None,
-        help="abscissa in (0, 1) of the Mellin-Barnes contour (default: the engine's own)",
+        help="abscissa in (-alpha, 1) of the Mellin-Barnes contour "
+        "(default: the engine's own, (1 - alpha)/2)",
     )
     p.set_defaults(handler=_cmd_density)
 

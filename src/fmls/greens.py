@@ -2,27 +2,34 @@
 convolution pricing engine built on top of it.
 
 The scaled log-return density g(X) is an integral of a Gamma-function ratio
-along the contour t = c1 + i*y, 0 < c1 < 1, with different ratios for the
-two signs of X:
+along the contour t = c1 + i*y, with different ratios for the two signs of
+X:
 
     X > 0:  Gamma(1-t) / Gamma(1 - t/alpha)
     X < 0:  Gamma(t/alpha) Gamma(1-t) / (Gamma(rho*t) Gamma(1 - rho*t)),
             rho = (alpha-1)/alpha, evaluated at |X|
 
 By the reflection formula the X < 0 ratio is the X > 0 one times
-sin(pi*rho*t) / sin(pi*t/alpha), which is how it is computed.
+sin(pi*rho*t) / sin(pi*t/alpha), which is how it is computed.  Both ratios
+are analytic on the strip -alpha < Re t < 1: Gamma(1-t) has its first pole
+at t = 1, sin(pi*t/alpha) its first nonzero root at t = -alpha, and t = 0 is
+removable.  Any c1 in that strip gives the same density.
 
 Both integrands decay exponentially in |y|, so a trapezoid rule along the
-line converges geometrically.  A probe at step 0.25, walked outward in
-blocks, finds where the ratio falls below 1e-18; the contour is truncated
-there.  The step is then halved until the result settles, by nested
-refinement: each halving evaluates the ratio only at the new odd nodes and
-reuses the previous level's sum.  Within one density call both branches
-share the log-Gamma difference of each node, so every contour node costs
-one log-Gamma difference.  The oscillatory sum is taken in real arithmetic,
-by angle addition over blocks of evenly spaced nodes: cosines and sines of
-about 2*sqrt(N) phases per point instead of N.  Gamma ratios are assembled
-in log space (direct products overflow for moderate |y|).
+line converges geometrically, like e^{-2*pi*d/h} for a line at distance d
+from the nearest singularity (Trefethen & Weideman, SIAM Review 2014).  The
+default contour therefore runs down the middle of the strip, c1 =
+(1 - alpha)/2, where d = (1 + alpha)/2.  A probe at step 0.25 finds where
+the ratio falls below 1e-18, extrapolating its decay so that it evaluates
+only a few nodes past that point; the contour is truncated there.  The step
+is then halved until the result settles, by nested refinement: each halving
+evaluates the ratio only at the new odd nodes and reuses the previous
+level's sum.  Within one density call both branches share the log-Gamma
+difference of each node, so every contour node costs one log-Gamma
+difference.  The oscillatory sum is taken in real arithmetic, by angle
+addition over blocks of evenly spaced nodes: cosines and sines of about
+2*sqrt(N) phases per point instead of N.  Gamma ratios are assembled in log
+space (direct products overflow for moderate |y|).
 """
 
 from __future__ import annotations
@@ -46,14 +53,16 @@ __all__ = [
     "discretized_price",
 ]
 
-_C1 = 0.5  # contour abscissa when the caller sets none
+_SMALL_X_C1 = 0.5  # default contour abscissa where |X|^(c1-1) amplifies roundoff
 _Y_MAX = 400.0  # contour truncation
 _H_START = 0.25
 _STEP_TOL = 1e-11
 _MAX_HALVINGS = 10
 _RATIO_CUTOFF = 1e-18  # drop the contour tail once the ratio is this small
-_PROBE_BLOCK = 128  # probe nodes evaluated at a time while seeking the cutoff
+_PROBE_START = 32  # probe nodes evaluated before the decay is extrapolated
+_PROBE_PAD = 3  # nodes below the cutoff the probe sees past the last one above
 _TAIL_TOL = 1e-12  # ratio magnitude still allowed at _Y_MAX
+_ROUNDOFF = 8e-16  # roundoff floor of a sum, per unit of its absolute sum
 _FLOOR_SHARE = 1e-9  # largest roundoff floor accepted, relative to the result
 _NEGATIVITY_TOL = -1e-8
 _CHUNK = 512
@@ -79,15 +88,20 @@ def _line_ratio(
 
     ``log_ratio`` supplies the X > 0 difference log Gamma(1-t) -
     log Gamma(1-t/alpha), made by :func:`_shared_log_ratio` when not given;
-    the X < 0 branch adds only its log-sine term to it.
+    the X < 0 branch adds only its log-sine term to it.  On the real axis
+    that term is log of (alpha-1) * sinc(rho*c1) / sinc(c1/alpha), which
+    holds through the removable t = 0 and loses no digits near it.
     """
     if log_ratio is None:
         log_ratio = _shared_log_ratio(alpha, c1)
     lg = log_ratio(ys)
     if negative:
-        t = c1 + 1j * ys
         rho = (alpha - 1.0) / alpha
-        lg = lg + (_log_sinpi_vec(rho * t) - _log_sinpi_vec(t / alpha))
+        axis = ys == 0.0
+        t = c1 + 1j * ys[~axis]
+        lg = lg.copy()
+        lg[~axis] += _log_sinpi_vec(rho * t) - _log_sinpi_vec(t / alpha)
+        lg[axis] += math.log((alpha - 1.0) * np.sinc(rho * c1) / np.sinc(c1 / alpha))
     return np.exp(lg)
 
 
@@ -95,21 +109,32 @@ def _shared_log_ratio(alpha: float, c1: float):
     """log Gamma(1-t) - log Gamma(1-t/alpha) on runs of contour nodes,
     evaluating each node once over the life of the returned function.
 
-    The transform asks for arithmetic runs y0 + k*dy.  A run is keyed by its
-    first node and its step, and a longer request for a known run evaluates
-    only the nodes past its end.  One density call makes one of these for
-    both branches, which probe and refine on the same nodes.
+    The transform asks for arithmetic runs y0 + k*dy.  Runs with the same
+    step whose nodes lie on one lattice share a cache, which holds a
+    contiguous run from the lattice's first requested node: a request reads
+    what is cached and evaluates only the nodes past its end.  One density
+    call makes one of these for both branches, which probe and refine on the
+    same nodes.
     """
-    runs: dict[tuple[float, float], np.ndarray] = {}
+    runs: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
+
+    def fresh(ys: np.ndarray) -> np.ndarray:
+        t = c1 + 1j * ys
+        return _loggamma_vec(1.0 - t) - _loggamma_vec(1.0 - t / alpha)
 
     def log_ratio(ys: np.ndarray) -> np.ndarray:
-        key = (float(ys[0]), float(ys[1] - ys[0]) if ys.size > 1 else 0.0)
-        known = runs.get(key, np.empty(0, dtype=complex))
-        if known.size < ys.size:
-            t = c1 + 1j * ys[known.size :]
-            fresh = _loggamma_vec(1.0 - t) - _loggamma_vec(1.0 - t / alpha)
-            known = runs[key] = np.concatenate([known, fresh])
-        return known[: ys.size]
+        y0 = float(ys[0])
+        dy = float(ys[1] - ys[0]) if ys.size > 1 else 0.0
+        key = (dy, math.fmod(y0, dy) if dy else y0)
+        origin, known = runs.get(key, (y0, np.empty(0, dtype=complex)))
+        skip = round((y0 - origin) / dy) if dy else 0
+        if not 0 <= skip <= known.size:  # off the cached run
+            return fresh(ys)
+        end = skip + ys.size
+        if known.size < end:
+            known = np.concatenate([known, fresh(ys[known.size - skip :])])
+            runs[key] = (origin, known)
+        return known[skip:end]
 
     return log_ratio
 
@@ -150,8 +175,57 @@ def _phase_sum(
     return out
 
 
+def _first_level(ratio_fn) -> np.ndarray:
+    """The weighted nodes of the h = 0.25 trapezoid level: the contour from
+    y = 0 to one node past the last one whose ratio is at least 1e-18.
+
+    The ratio must have decayed below 1e-12 at y = 400, which is checked on
+    that one node.  The probe then evaluates ``_PROBE_START`` nodes and,
+    while the ratio is still above the cutoff, extends the run to where the
+    log-magnitude decay of its last 8 nodes, extrapolated, reaches the
+    cutoff; it stops once ``_PROBE_PAD`` nodes past the last one above it
+    are known, so it evaluates a few nodes past the cutoff, each once.  When the cutoff lies
+    past y = 400, one padding node at y_eff = 400.25 ends the level.
+    """
+    tail = float(np.abs(ratio_fn(np.array([_Y_MAX]))[0]))
+    if tail > _TAIL_TOL:
+        raise QuadratureError(
+            f"contour integrand still {tail:.3e} at y = {_Y_MAX:g}: it has "
+            "not decayed because alpha is too close to 1"
+        )
+    probe_size = int(_Y_MAX / _H_START) + 1
+    mags = np.empty(0)
+    values = []
+    n = 1  # intervals of width _H_START up to the last node above the cutoff
+    stop = _PROBE_START
+    while True:
+        block = ratio_fn(_H_START * np.arange(mags.size, stop))
+        values.append(block)
+        mags = np.concatenate([mags, np.abs(block)])
+        big = np.nonzero(mags >= _RATIO_CUTOFF)[0]
+        if big.size:
+            n = int(big[-1]) + 1
+        if mags.size >= min(n + _PROBE_PAD, probe_size):
+            break
+        stop = max(n, mags.size) + _PROBE_PAD
+        if n == mags.size:  # still above the cutoff: extrapolate the decay
+            slope = math.log(mags[-1] / mags[-9]) / 8.0  # per node, over y - 2 to y
+            ahead = math.log(_RATIO_CUTOFF / mags[-1]) / slope if slope < 0 else n
+            stop += math.ceil(ahead)
+        stop = min(stop, probe_size)
+    weighted = _H_START * np.concatenate(values)[: n + 1]
+    if weighted.size <= n:  # the cutoff lies past the probe's last node
+        weighted = np.append(weighted, _H_START * ratio_fn(np.array([n * _H_START])))
+    weighted[0] *= 0.5
+    weighted[-1] *= 0.5
+    return weighted
+
+
 def _half_line_transform(
-    log_x: np.ndarray, ratio_fn, prefactor: np.ndarray | float
+    log_x: np.ndarray,
+    ratio_fn,
+    prefactor: np.ndarray | float,
+    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate prefactor * int_0^inf Re[ratio(y) * e^{i*y*log_x}] dy for a
     vector of log_x, by nested trapezoid refinement along the contour.
@@ -163,42 +237,21 @@ def _half_line_transform(
     final (output) units.  Every ``ys`` passed to ``ratio_fn`` is an
     arithmetic run y0 + k*dy.
 
-    The ratio must have decayed below 1e-12 at y = 400, which is checked on
-    that one node.  A probe at step 0.25 then walks outward in blocks of
-    ``_PROBE_BLOCK`` nodes and stops at the first block that lies wholly
-    below the cutoff; its nodes up to the last one above the cutoff are the
-    first trapezoid level.  Each halving evaluates ``ratio_fn`` only at the
-    new odd nodes and updates T(h/2) = T(h)/2 + (h/2) * sum over the odd
-    nodes, so every contour node is evaluated once.  Each level's phase sum
-    is taken by angle addition (:func:`_phase_sum`).  The step is halved
-    until the result moves by less than 1e-11 (or than its roundoff floor,
-    which must then stay under 1e-11 or 1e-9 of the result, or it raises).
+    The first level is :func:`_first_level` of ``ratio_fn``, or ``first``
+    when the caller has made it already.  Each halving evaluates
+    ``ratio_fn`` only at the new odd nodes and updates T(h/2) = T(h)/2 +
+    (h/2) * sum over the odd nodes, so every contour node is evaluated once.
+    Each level's phase sum is taken by angle addition (:func:`_phase_sum`).
+    The step is halved until the result moves by less than 1e-11 (or than
+    its roundoff floor, which must then stay under 1e-11 or 1e-9 of the
+    result, or it raises).  The error of a level falls like e^{-2*pi*d/h},
+    d the distance from the contour to the ratio's nearest singularity: on
+    the density's default contour (d = (1 + alpha)/2) the first halving
+    confirms the h = 0.25 level, where c1 = 0.5 (d = 0.5) takes two.
     """
-    tail = float(np.abs(ratio_fn(np.array([_Y_MAX]))[0]))
-    if tail > _TAIL_TOL:
-        raise QuadratureError(
-            f"contour integrand still {tail:.3e} at y = {_Y_MAX:g}: it has "
-            "not decayed because alpha is too close to 1"
-        )
-    # Probe the decay outward to find the effective truncation.
-    probe_size = int(_Y_MAX / _H_START) + 1
-    blocks = []
-    n = 1  # intervals of width _H_START up to the last node above the cutoff
-    for lo in range(0, probe_size, _PROBE_BLOCK):
-        block = ratio_fn(_H_START * np.arange(lo, min(lo + _PROBE_BLOCK, probe_size)))
-        blocks.append(block)
-        big = np.nonzero(np.abs(block) >= _RATIO_CUTOFF)[0]
-        if not big.size:
-            break
-        n = lo + int(big[-1]) + 1
-    y_eff = n * _H_START
-
+    weighted = _first_level(ratio_fn) if first is None else first
+    n = weighted.size - 1
     h = _H_START
-    weighted = h * np.concatenate(blocks)[: n + 1]
-    if weighted.size <= n:  # the cutoff lies past the probe's last node
-        weighted = np.append(weighted, h * ratio_fn(np.array([y_eff])))
-    weighted[0] *= 0.5
-    weighted[-1] *= 0.5
     total = _phase_sum(log_x, 0.0, h, weighted)
     # Trapezoid sum of |ratio|: the roundoff floor of the (possibly
     # amplified) sum; convergence below it cannot be demanded.
@@ -211,7 +264,7 @@ def _half_line_transform(
         abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
         n *= 2
         refined = prefactor * total
-        floor = 8.0 * np.abs(prefactor) * abs_total * 1e-16
+        floor = _ROUNDOFF * np.abs(prefactor) * abs_total
         if np.all(np.abs(refined - current) < np.maximum(_STEP_TOL, floor)):
             if np.any(floor > np.maximum(_STEP_TOL, _FLOOR_SHARE * np.abs(refined))):
                 raise QuadratureError(
@@ -230,18 +283,24 @@ def stable_density_values(
 ) -> np.ndarray:
     """Vectorized density of the scaled log return at the points ``x``.
 
-    ``c1`` is the contour abscissa in (0, 1); ``None`` means 0.5.  The
-    density does not depend on it, up to quadrature error.
+    ``c1`` is the contour abscissa in (-alpha, 1), the strip where both
+    ratios are analytic; the density does not depend on it, up to
+    quadrature error.  ``None`` means the middle of that strip,
+    (1 - alpha)/2, farthest from both singularities, except at points so
+    close to zero that the prefactor |X|^(c1-1) would lift the contour
+    sum's roundoff floor above the 1e-11 step tolerance: those keep
+    c1 = 0.5 on a contour of their own.
     X = 0 entries take the limit of the X > 0 branch, which the residue
     expansion gives in closed form: g(0) = (1/alpha) / Gamma(1 - 1/alpha)
     (equal to 1/(2 sqrt(pi)) in the Gaussian case).  A non-finite point
     raises ``ValueError``.
     """
-    c1 = _C1 if c1 is None else c1
-    if not (0.0 < c1 < 1.0):
-        raise ValueError(f"c1 must lie in (0, 1), got {c1!r}")
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
+    default = c1 is None
+    c1 = 0.5 * (1.0 - alpha) if default else c1
+    if not (-alpha < c1 < 1.0):
+        raise ValueError(f"c1 must lie in (-alpha, 1) = ({-alpha!r}, 1), got {c1!r}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("density points must be finite")
@@ -251,19 +310,37 @@ def stable_density_values(
     # there, while the contour integrand's oscillation diverges like log|X|.
     near_zero = np.abs(flat) <= 1e-8
     out[near_zero] = reciprocal_gamma(1.0 - 1.0 / alpha) / alpha
-    log_ratio = _shared_log_ratio(alpha, c1)
+    log_ratios = {}  # per abscissa, shared by both branches
+
+    def ratio_fn(c: float, negative: bool):
+        if c not in log_ratios:
+            log_ratios[c] = _shared_log_ratio(alpha, c)
+        return lambda ys: _line_ratio(ys, alpha, c, negative, log_ratios[c])
+
     for negative in (False, True):
         mask = ((flat < 0.0) if negative else (flat > 0.0)) & ~near_zero
         if not np.any(mask):
             continue
         ax = np.abs(flat[mask])
-        log_ax = np.log(ax)
-        # The x-power X^{t-1} carries the real factor |X|^{c1-1}.
-        out[mask] = _half_line_transform(
-            log_ax,
-            lambda ys: _line_ratio(ys, alpha, c1, negative, log_ratio),
-            prefactor=ax ** (c1 - 1.0) / (alpha * math.pi),
-        )
+        first = _first_level(ratio_fn(c1, negative))
+        split = 0.0
+        if default:
+            # The default contour's roundoff floor, _ROUNDOFF * |X|^(c1-1) /
+            # (alpha*pi) * sum|first|, passes the step tolerance below split.
+            floor_at_one = _ROUNDOFF * float(np.sum(np.abs(first))) / (alpha * math.pi)
+            split = (floor_at_one / _STEP_TOL) ** (1.0 / (1.0 - c1))
+        small = ax < split
+        values = np.empty(ax.size)
+        for part, c, level in ((~small, c1, first), (small, _SMALL_X_C1, None)):
+            if np.any(part):
+                values[part] = _half_line_transform(
+                    np.log(ax[part]),
+                    ratio_fn(c, negative),
+                    # The x-power X^{t-1} carries the real factor |X|^{c-1}.
+                    prefactor=ax[part] ** (c - 1.0) / (alpha * math.pi),
+                    first=level,
+                )
+        out[mask] = values
     bad = out < _NEGATIVITY_TOL
     if np.any(bad):
         worst = float(out[bad].min())
@@ -334,7 +411,8 @@ def build_density_grid(
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
     Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
-    of :func:`stable_density_values`.  A :class:`BoundaryMassWarning`
+    of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
+    default.  A :class:`BoundaryMassWarning`
     is emitted when the *scaled* density at either edge exceeds
     ``boundary_tol`` (heavy left tails at low alpha).  The values are not
     renormalized; :func:`default_pricing_grid` rescales its grid to unit
@@ -378,15 +456,17 @@ def default_pricing_grid(
 
 def _pricing_grid(
     model: StableModel, spec: OptionSpec, refine: int
-) -> tuple[DensityGrid, float]:
-    """:func:`default_pricing_grid` and the grid's mass before it was
-    renormalized."""
+) -> tuple[DensityGrid, dict[str, float]]:
+    """:func:`default_pricing_grid`, and how it was made: the grid's mass
+    before it was renormalized (``raw_mass``), its half-width in scale units
+    (``half_width``) and the number of times it was widened
+    (``widenings``)."""
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
-    for _ in range(4):
+    for widenings in range(4):
         grid = build_density_grid(
             model.alpha,
             model.mu,
@@ -396,11 +476,13 @@ def _pricing_grid(
             n_points=n_points,
             boundary_tol=math.inf,
         )
-        if max(grid.values[0], grid.values[-1]) * scale <= DEFAULT_BOUNDARY_TOL:
+        edge = max(grid.values[0], grid.values[-1]) * scale
+        if edge <= DEFAULT_BOUNDARY_TOL or widenings == 3:
             break
         half_width *= 1.5
     raw_mass = grid.mass()
-    return replace(grid, values=grid.values / raw_mass), raw_mass
+    made = {"raw_mass": raw_mass, "half_width": half_width, "widenings": widenings}
+    return replace(grid, values=grid.values / raw_mass), made
 
 
 def discretized_price(
@@ -412,9 +494,10 @@ def discretized_price(
     The error estimate is the trapezoid's kink-cell bias plus the mass the
     truncated grid leaked before renormalization, |1 - raw_mass| * price:
     renormalizing spreads that mass over the grid, which biases the price
-    by about that much.  ``raw_mass`` is reported in the diagnostics.
+    by about that much.  The diagnostics report ``raw_mass``, the grid's
+    ``half_width`` in scale units and its ``widenings``.
     """
-    grid, raw_mass = _pricing_grid(model, spec, refine)
+    grid, made = _pricing_grid(model, spec, refine)
     ys = grid.ys
     payoff = np.maximum(
         spec.spot * np.exp((spec.rate + model.mu) * spec.tau + ys) - spec.strike, 0.0
@@ -422,10 +505,10 @@ def discretized_price(
     discount = math.exp(-spec.rate * spec.tau)
     price = discount * float(np.trapezoid(payoff * grid.values, dx=grid.step))
     kink_bias = discount * spec.strike * float(np.max(grid.values)) * grid.step**2 / 8.0
-    err = kink_bias + abs(1.0 - raw_mass) * price
+    err = kink_bias + abs(1.0 - made["raw_mass"]) * price
     diagnostics: dict[str, object] = {
         "grid_mass": grid.mass(),
-        "raw_mass": raw_mass,
+        **made,
         "n_points": grid.n_points,
     }
     if price < 0.0:

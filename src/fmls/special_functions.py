@@ -110,21 +110,27 @@ def reciprocal_gamma(x: float) -> float:
     return math.copysign(math.exp(log_mag), s)
 
 
+def _loggamma_right(z: np.ndarray) -> np.ndarray:
+    """Lanczos log Gamma on a complex array with Re(z) >= 0.5."""
+    t = z + (_LANCZOS_G - 0.5)
+    return _LOG_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
+
+
 def _loggamma_vec(z: np.ndarray) -> np.ndarray:
     """Vectorized log Gamma on complex arrays, reflection for Re(z) < 0.5.
 
     Used by the contour quadratures; callers guarantee arguments stay off
-    the poles (their real parts live strictly inside (0, 1) bands).
+    the poles at the non-positive integers.  An array wholly in
+    Re(z) >= 0.5, which is every density contour call at its default
+    abscissa, goes straight to the Lanczos form, with no masks.
     """
     z = np.asarray(z, dtype=complex)
+    if z.size and z.real.min() >= 0.5:
+        return _loggamma_right(z)
     out = np.empty_like(z)
     right = z.real >= 0.5
     if np.any(right):
-        zr = z[right]
-        t = zr + (_LANCZOS_G - 0.5)
-        out[right] = (
-            _LOG_SQRT_2PI + (zr - 0.5) * np.log(t) - t + np.log(_lanczos_sum(zr))
-        )
+        out[right] = _loggamma_right(z[right])
     if np.any(~right):
         zl = z[~right]
         out[~right] = _LOG_PI - _log_sinpi_vec(zl) - _loggamma_vec(1.0 - zl)

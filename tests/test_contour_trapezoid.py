@@ -2,6 +2,7 @@
 its work, the blocked phase sum against the direct one, and the
 negative-branch ratio against its four-Gamma form."""
 
+import itertools
 import math
 
 import numpy as np
@@ -82,16 +83,30 @@ def test_nested_transform_matches_per_level_reevaluation(alpha, c1, negative, lo
 
 
 def _counted_transform(alpha, negative, log_x):
-    """Sizes of the ``ratio_fn`` calls of one density transform (c1 = 0.5)."""
+    """Sizes of the ``ratio_fn`` calls of one density transform on the
+    default contour, c1 = (1 - alpha)/2."""
+    c1 = 0.5 * (1.0 - alpha)
     sizes = []
 
     def ratio_fn(ys):
         sizes.append(ys.size)
-        return greens._line_ratio(ys, alpha, 0.5, negative)
+        return greens._line_ratio(ys, alpha, c1, negative)
 
-    prefactor = np.exp(-0.5 * log_x) / (alpha * math.pi)
+    prefactor = np.exp((c1 - 1.0) * log_x) / (alpha * math.pi)
     greens._half_line_transform(log_x, ratio_fn, prefactor)
     return sizes
+
+
+# The tail node, the probe's first 32 nodes and its one extrapolated run,
+# then each halving's new odd nodes.
+_NODE_CALLS = {
+    (1.5, False): [1, 32, 300, 322],
+    (1.5, True): [1, 32, 80, 107, 214],
+    (1.7, False): [1, 32, 241, 263],
+    (1.7, True): [1, 32, 115, 141],
+    (2.0, False): [1, 32, 198, 219],
+    (2.0, True): [1, 32, 198, 219],
+}
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.7, 2.0])
@@ -99,15 +114,13 @@ def _counted_transform(alpha, negative, log_x):
 def test_each_contour_node_is_evaluated_once(alpha, negative):
     sizes = _counted_transform(alpha, negative, np.linspace(-3.0, 3.0, 9))
     probe = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
-    mags = np.abs(greens._line_ratio(probe, alpha, 0.5, negative))
+    mags = np.abs(greens._line_ratio(probe, alpha, 0.5 * (1.0 - alpha), negative))
     n0 = int(np.nonzero(mags >= greens._RATIO_CUTOFF)[0][-1]) + 1  # y_eff / 0.25
-    # The tail node, then probe blocks up to the first one wholly below the
-    # cutoff, then each level's new nodes.
-    block = greens._PROBE_BLOCK
-    probed = min(((n0 - 1) // block + 2) * block, probe.size)
-    probe_sizes = [min(block, probed - lo) for lo in range(0, probed, block)]
-    halvings = len(sizes) - 1 - len(probe_sizes)
-    assert sizes[: 1 + len(probe_sizes)] == [1] + probe_sizes
+    assert sizes == _NODE_CALLS[alpha, negative]
+    # The probe stops a few nodes past the cutoff, and every node is new.
+    probed = sizes[1] + sizes[2]
+    assert n0 + greens._PROBE_PAD <= probed <= n0 + 16
+    halvings = len(sizes) - 3
     assert halvings >= 1
     assert sum(sizes) == 1 + probed + n0 * (2**halvings - 1)
 
@@ -118,13 +131,13 @@ def test_paper_contract_work_at_alpha_two():
     grid = greens.default_pricing_grid(model, spec)
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     x = grid.ys / scale
-    # Per branch: the tail node at y = 400, three 128-node probe blocks (the
-    # third lies wholly below the cutoff), then 207 and 414 new odd nodes over
-    # two halvings (re-evaluating every level would take 3053).
+    # Per branch: the tail node at y = 400, the probe's 32 + 198 nodes (219
+    # up to the cutoff and 11 past it), then 219 new odd nodes in one
+    # halving (c1 = 0.5 took 1 + 384 + 207 + 414 = 1006 over two).
     for negative in (False, True):
         part = x[x < 0.0] if negative else x[x > 0.0]
         sizes = _counted_transform(2.0, negative, np.log(np.abs(part)))
-        assert sizes == [1, 128, 128, 128, 207, 414]
+        assert sizes == [1, 32, 198, 219]
 
 
 def test_both_branches_share_each_contour_node(monkeypatch):
@@ -140,11 +153,35 @@ def test_both_branches_share_each_contour_node(monkeypatch):
 
     monkeypatch.setattr(greens, "_loggamma_vec", recording)
     greens.stable_density_values(grid.ys / scale, 2.0)
-    # log Gamma(1-t) and log Gamma(1-t/2) at the 1 + 384 + 207 + 414 nodes of
-    # one branch (above); both branches read them, and no argument repeats.
+    # log Gamma(1-t) and log Gamma(1-t/2) at the 1 + 230 + 219 nodes of one
+    # branch (above); both branches read them, and no argument repeats.
     points = np.concatenate(args)
-    assert points.size == 2 * (1 + 384 + 207 + 414)
+    assert points.size == 2 * (1 + 230 + 219)
     assert np.unique(points).size == points.size
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.7])
+def test_branches_with_different_cutoffs_share_each_node(monkeypatch, alpha):
+    # Below alpha = 2 the X < 0 ratio decays faster: each of its calls asks
+    # for a prefix or an extension of the X > 0 call at the same level, so
+    # each level evaluates the longer of the two runs once.
+    args = []
+
+    def recording(z):
+        args.append(np.array(z))
+        return _loggamma_vec(z)
+
+    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    log_x = np.linspace(-3.0, 3.0, 9)
+    greens.stable_density_values(np.concatenate([-np.exp(log_x), np.exp(log_x)]), alpha)
+    points = np.concatenate(args)
+    assert np.unique(points).size == points.size
+    per_level = itertools.zip_longest(
+        _counted_transform(alpha, False, log_x),
+        _counted_transform(alpha, True, log_x),
+        fillvalue=0,
+    )
+    assert points.size == 2 * sum(max(pair) for pair in per_level)
 
 
 @settings(max_examples=60, deadline=None)

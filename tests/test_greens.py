@@ -86,10 +86,39 @@ class TestStableDensity:
         assert float(np.max(np.abs(got - want))) <= 1e-8
 
     def test_contour_independence(self):
-        values = [
-            stable_density(0.5, 1.7, c1=c1) for c1 in (0.3, 0.5, 0.7)
-        ]
-        assert max(values) - min(values) <= 1e-8
+        # Any abscissa in the strip -alpha < c1 < 1, t = 0 included.
+        for x in (0.5, -0.5):
+            values = [
+                stable_density(x, 1.7, c1=c1)
+                for c1 in (0.3, 0.5, 0.7, 0.0, -0.5, -1.2)
+            ]
+            assert max(values) - min(values) <= 1e-8
+
+    # The default contour sits at c1 = (1 - alpha)/2; points near zero keep
+    # c1 = 0.5, where |X|^(c1-1) amplifies the contour sum's roundoff less.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.05, 2.0, exclude_min=True),
+        log_mag=st.lists(
+            st.floats(math.log(1e-8), math.log(500.0)), min_size=1, max_size=8
+        ),
+        signs=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_default_contour_matches_c1_half(self, alpha, log_mag, signs):
+        x = np.array(
+            [math.exp(v) * (-1.0 if neg else 1.0) for v, neg in zip(log_mag, signs)]
+        )
+        outcomes = []
+        for c1 in (None, 0.5):
+            try:
+                outcomes.append(stable_density_values(x, alpha, c1))
+            except QuadratureError:
+                outcomes.append(None)
+        default, half = outcomes
+        if default is None or half is None:
+            assert default is None and half is None
+        else:
+            assert float(np.max(np.abs(default - half))) <= 1e-9
 
     def test_against_fourier_oracle(self):
         assert stable_density(0.5, 1.7) == pytest.approx(G17_AT_HALF, abs=1e-6)
@@ -125,6 +154,10 @@ class TestStableDensity:
             stable_density(0.5, 1.0)
         with pytest.raises(ValueError):
             stable_density(0.5, 1.7, c1=1.5)
+        # The contour must stay inside the strip -alpha < c1 < 1.
+        for c1 in (-1.7, 1.0):
+            with pytest.raises(ValueError, match="c1"):
+                stable_density(0.5, 1.7, c1=c1)
 
     def test_non_finite_points(self):
         # Rejected up front: no quadrature runs, so no warning and no halving.
@@ -253,6 +286,18 @@ class TestDiscretizedPrice:
                 ref = gil_pelaez_price(m, s)
                 gap = abs(got.price - ref.price)
                 assert gap <= got.error_estimate + ref.error_estimate, (spot, alpha)
+
+    def test_diagnostics_report_the_grid_widenings(self):
+        # Heavy left tails leak at the default edge below alpha = 1.7.
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        for alpha, widenings in ((1.5, 1), (2.0, 0)):
+            m = StableModel.from_spec(s, alpha)
+            d = discretized_price(m, s).diagnostics
+            assert d["widenings"] == widenings
+            assert d["half_width"] == pytest.approx(11.0 * 1.5**widenings, rel=1e-15)
+            grid = default_pricing_grid(m, s)
+            scale = (-m.mu * s.tau) ** (1.0 / alpha)
+            assert grid.y_max == pytest.approx(d["half_width"] * scale, rel=1e-15)
 
     def test_raw_mass_is_the_mass_before_renormalization(self):
         s = OptionSpec(spot=4200, strike=4000, rate=0.01, sigma=0.2, tau=1.0)

@@ -13,6 +13,7 @@ import pytest
 import scipy.special as sp
 
 from fmls.special_functions import (
+    _loggamma_vec,
     ln_gamma_complex,
     ln_gamma_real,
     normal_cdf,
@@ -163,6 +164,25 @@ class TestLnGammaComplex:
         for z in (0.0 + 0.0j, -1.0 + 0.0j, -7.0 + 0.0j):
             with pytest.raises(ValueError):
                 ln_gamma_complex(z)
+
+
+class TestLogGammaVec:
+    def test_right_half_plane_fast_path_matches_masked_path(self):
+        # Contour nodes 1 - t at c1 = -0.5, and the same with a point at
+        # Re z = 0.25, which sends the whole array through the masks.
+        right = 1.5 + 1j * np.linspace(-400.0, 400.0, 801)
+        right = np.concatenate([right, [0.5 + 0j, 0.5 + 3j, 7.0 - 2j]])
+        fast = _loggamma_vec(right)
+        mixed = _loggamma_vec(np.concatenate([right, [0.25 + 1j]]))
+        assert fast.shape == right.shape
+        assert np.array_equal(fast, mixed[:-1])
+        want = sp.loggamma(right)
+        assert float(np.max(np.abs(fast - want) / np.maximum(1.0, np.abs(want)))) <= 1e-13
+
+    def test_empty_and_shaped_arrays(self):
+        assert _loggamma_vec(np.empty(0, dtype=complex)).shape == (0,)
+        grid = 1.0 + 1j * np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(_loggamma_vec(grid), _loggamma_vec(grid.ravel()).reshape(2, 3))
 
 
 class TestNormalCdf:
