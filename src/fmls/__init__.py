@@ -43,7 +43,6 @@ from .series import (
     series_term,
 )
 from .special_functions import (
-    ln_gamma_complex,
     ln_gamma_real,
     normal_cdf,
     reciprocal_gamma,
@@ -72,7 +71,6 @@ __all__ = [
     "discretized_price",
     "gil_pelaez_price",
     "implied_vol",
-    "ln_gamma_complex",
     "ln_gamma_real",
     "log_moneyness",
     "martingale_drift",

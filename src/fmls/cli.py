@@ -43,7 +43,7 @@ def _spec_from_args(args: argparse.Namespace) -> OptionSpec:
 
 def _price_once(
     engine: str, spec: OptionSpec, alpha: float, trunc: Truncation | None = None,
-    u_max: float | None = None, refine: int = 0,
+    refine: int = 0,
 ) -> PricingResult:
     """Price with one engine; each setting left out is the engine's default."""
     if engine == "bs":
@@ -54,7 +54,7 @@ def _price_once(
     if engine == "series":
         return price_series(model, spec, trunc)
     if engine == "gilpelaez":
-        return gil_pelaez_price(model, spec, u_max)
+        return gil_pelaez_price(model, spec)
     if engine == "discretization":
         return discretized_price(model, spec, refine)
     raise ValueError(f"unknown engine {engine!r}")
@@ -88,7 +88,7 @@ def _emit_result(result: PricingResult, fmt: str) -> None:
 def _cmd_price(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
-    result = _price_once(args.engine, spec, args.alpha, trunc, args.umax, args.refine)
+    result = _price_once(args.engine, spec, args.alpha, trunc, args.refine)
     _emit_result(result, args.format)
     return 0
 
@@ -228,10 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=Truncation.m_max, help="series: max m index")
     p.add_argument(
         "--tol", type=float, default=Truncation.tail_tol, help="series: column early-stop tolerance"
-    )
-    p.add_argument(
-        "--umax", type=float, default=None,
-        help="gilpelaez: upper limit of both inversion integrals (default: the engine's own)",
     )
     p.add_argument(
         "--refine", type=int, default=0,

@@ -14,14 +14,12 @@ instead, which keeps downstream term accounting deterministic.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 __all__ = [
     "ln_gamma_real",
-    "ln_gamma_complex",
     "reciprocal_gamma",
     "normal_cdf",
 ]
@@ -146,12 +144,12 @@ def _log_sinpi_vec(z: np.ndarray) -> np.ndarray:
     y = z.imag
     on_axis = y == 0.0
     if np.any(on_axis):
-        zs = z[on_axis]
-        n = np.floor(zs.real)
-        r = (zs.real - n) + 0j
-        s = np.sin(np.pi * r)
+        x = z.real[on_axis]
+        n = np.round(x)
+        s = np.sin(np.pi * (x - n))  # x - n in [-0.5, 0.5], exact
         s = np.where((n.astype(np.int64) & 1).astype(bool), -s, s)
-        out[on_axis] = np.log(s)
+        # A +0 imaginary part: negative s takes +i*pi, whatever the roundoff.
+        out[on_axis] = np.log(s + 0j)
     if np.any(~on_axis):
         zb = z[~on_axis]
         conj = zb.imag < 0.0
@@ -162,26 +160,6 @@ def _log_sinpi_vec(z: np.ndarray) -> np.ndarray:
         w = np.exp(2j * np.pi * (zb - np.round(zb.real)))
         val = -1j * np.pi * zb + np.log(1.0 - w) + (math.log(0.5) + 0.5j * np.pi)
         out[~on_axis] = np.where(conj, val.conj(), val)
-    return out
-
-
-def ln_gamma_complex(z: complex) -> complex:
-    """Principal branch of log Gamma(z) (real on the positive real axis).
-
-    Raises ``ValueError`` at the poles (non-positive real integers).
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"ln_gamma_complex requires finite z, got {z!r}")
-    if z.imag == 0.0:
-        n = round(z.real)
-        if n <= 0 and abs(z.real - n) <= _INTEGER_TOL:
-            raise ValueError(f"ln_gamma_complex pole at z={z!r}")
-        if z.real > 0.0:
-            return complex(ln_gamma_real(z.real))
-    out = complex(_loggamma_vec(np.array([z]))[0])
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"ln_gamma_complex overflow at z={z!r}")
     return out
 
 

@@ -17,7 +17,7 @@ from golden import (
 from fmls.bs import bs_price
 from fmls import charfn
 from fmls.charfn import char_fn, gil_pelaez_price
-from fmls.errors import QuadratureError
+from fmls.errors import NumericalError, QuadratureError
 from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import price_series
 
@@ -100,14 +100,71 @@ class TestGilPelaez:
         r = gil_pelaez_price(StableModel.from_spec(s, 2.0), s)
         assert abs(r.price - bs_price(s)) <= r.error_estimate + 1e-12 * s.strike
 
+    # Short maturities, where phi decays slowly and the cut can reach its
+    # cap: the error estimate, tail bound included, still covers the gap.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        moneyness=st.floats(0.5, 3.0),
+        log_tau=st.floats(math.log(0.002), math.log(0.25)),
+        sigma=st.floats(0.05, 1.5),
+    )
+    def test_short_maturities_bound_the_gap_to_black_scholes_or_raise(
+        self, moneyness, log_tau, sigma
+    ):
+        s = OptionSpec(
+            spot=100.0 * moneyness, strike=100.0, rate=0.01, sigma=sigma, tau=math.exp(log_tau)
+        )
+        try:
+            r = gil_pelaez_price(StableModel.from_spec(s, 2.0), s)
+        except NumericalError:
+            return
+        assert abs(r.price - bs_price(s)) <= r.error_estimate + 1e-12 * s.strike
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(1.05, 2.0, exclude_min=True),
+        log_tau=st.floats(math.log(0.002), math.log(10.0)),
+        sigma=st.floats(0.05, 1.5),
+    )
+    def test_tail_bound_covers_the_integrals_past_the_cut(self, alpha, log_tau, sigma):
+        # Against a fine trapezoid of e^{Re z}/u du = e^{Re z} dv, v = log u,
+        # which does not oscillate; Re z from numpy's complex power.
+        s = OptionSpec(spot=100.0, strike=100.0, rate=0.01, sigma=sigma, tau=math.exp(log_tau))
+        m = StableModel.from_spec(s, alpha)
+        mu_tau = m.mu * s.tau
+        u_cut = charfn._cut(mu_tau, alpha)
+        # Graded toward the cut, where e^{Re z} falls within 1e-3 in v when
+        # mu*tau is large.
+        v = math.log(u_cut) + 12.0 * np.linspace(0.0, 1.0, 24001) ** 3
+        trapezoids = [
+            float(np.trapezoid(np.exp((mu_tau * (w - w**alpha)).real), v))
+            for w in (1.0 + 1j * np.exp(v), 1j * np.exp(v))
+        ]
+        re, slope = charfn._decay(u_cut, mu_tau, alpha)
+        bounds = np.exp(re) * np.log1p(1.0 / slope) / alpha
+        for bound, trapezoid in zip(bounds, trapezoids):
+            assert bound >= (1.0 - 1e-6) * trapezoid
+        try:
+            r = gil_pelaez_price(m, s)
+        except NumericalError:
+            return
+        assert r.diagnostics["u_cut"] == u_cut
+        discounted_strike = s.strike * math.exp(-s.rate * s.tau)
+        combined = (s.spot * trapezoids[0] + discounted_strike * trapezoids[1]) / math.pi
+        assert r.diagnostics["tail_bound"] >= (1.0 - 1e-6) * combined
+
     def test_paper_cells_take_at_most_two_levels(self):
-        # One integrand call per level, every strip of P1 and P2 in it.
+        # One integrand call per level, every strip of P1 and P2 in it, and
+        # the cut well short of the cap at 200.
         for spot in (3800, 4200):
             for alpha in COMPARISON_ALPHAS:
                 s = OptionSpec(spot=spot, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
                 d = gil_pelaez_price(StableModel.from_spec(s, alpha), s).diagnostics
                 assert 1 <= d["levels"] <= 2
-                assert d["panels"] >= 2 * (40 + 17)  # 40 strips, 18 panels in strip 0
+                assert 0.0 < d["u_cut"] < 200.0
+                # Strips of width 5, 18 panels in strip 0; 2 * (40 + 17) at the cap.
+                strips = round(d["u_cut"] / 5.0)
+                assert 2 * (strips + 17) <= d["panels"] < 2 * (40 + 17)
 
     def test_probabilities_in_unit_interval(self):
         for spot in (3800, 4200):
@@ -143,14 +200,8 @@ class TestGilPelaez:
         assert r.engine == "gil_pelaez"
         assert r.terms_used > 0
         assert r.error_estimate < 1e-4
-        assert r.diagnostics["u_stop_p1"] <= 200.0
-
-    def test_settings_validation(self):
-        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-        m = StableModel.from_spec(s, 1.7)
-        for u_max in (-1.0, 0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                gil_pelaez_price(m, s, u_max)
+        assert r.diagnostics["u_cut"] <= 200.0
+        assert 0.0 <= r.diagnostics["tail_bound"] <= r.error_estimate
 
     def test_insufficient_budget_raises(self, monkeypatch):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)

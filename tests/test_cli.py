@@ -141,12 +141,15 @@ class TestPriceCommand:
         assert code == 2
         assert "refine" in err
 
-    def test_umax_truncates_the_inversion(self, capsys):
-        argv = PRICE_ARGS + ["--engine", "gilpelaez", "--format", "json"]
-        code, out, _ = run_main(capsys, argv + ["--umax", "10"])
+    def test_umax_is_rejected(self, capsys):
+        code, _, _ = run_main(capsys, PRICE_ARGS + ["--engine", "gilpelaez", "--umax", "10"])
+        assert code == 2
+
+    def test_gilpelaez_json_reports_the_cut(self, capsys):
+        code, out, _ = run_main(capsys, PRICE_ARGS + ["--engine", "gilpelaez", "--format", "json"])
         assert code == 0
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-        r = gil_pelaez_price(StableModel.from_spec(s, 1.7), s, 10.0)
+        r = gil_pelaez_price(StableModel.from_spec(s, 1.7), s)
         got = json.loads(out)
         assert got == {
             "price": r.price,
@@ -155,11 +158,8 @@ class TestPriceCommand:
             "error_estimate": r.error_estimate,
             "diagnostics": r.diagnostics,
         }
-        assert got["diagnostics"]["u_stop_p1"] == 10.0
-        code, out, _ = run_main(capsys, argv)
-        assert code == 0
-        # Strips start at u = 1e-10, so the default stops at 60 + 1e-10.
-        assert json.loads(out)["diagnostics"]["u_stop_p1"] == pytest.approx(60.0, abs=1e-9)
+        # Strips end at multiples of 5; e^{Re z}/u of P1 falls under 1e-14 by 55.
+        assert got["diagnostics"]["u_cut"] == 55.0
 
     def test_help_lists_refine_and_no_grid_flags(self, capsys):
         code, out, _ = run_main(capsys, ["price", "--help"])
