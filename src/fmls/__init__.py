@@ -3,14 +3,16 @@
 Four engines share one set of market/model records:
 
 - ``price_series``: the closed-form double residue series (the fast path);
-- ``gil_pelaez_price``: Fourier inversion of the characteristic function;
+- ``gil_pelaez_price``: damped Fourier inversion of the characteristic
+  function (Carr & Madan), of which Gil-Pelaez inversion is the undamped
+  limit;
 - ``discretized_price``: convolution of the payoff with a sampled
   Mellin-Barnes density grid;
 - ``bs_price``: the Black-Scholes closed form, exact at stability index 2.
 """
 
 from .bs import bs_price
-from .charfn import char_fn, gil_pelaez_price
+from .charfn import gil_pelaez_price
 from .errors import (
     ConvergenceError,
     NumericalError,
@@ -65,7 +67,6 @@ __all__ = [
     "Truncation",
     "bs_price",
     "build_density_grid",
-    "char_fn",
     "convergence_table",
     "default_pricing_grid",
     "discretized_price",

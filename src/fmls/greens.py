@@ -420,6 +420,8 @@ def build_density_grid(
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
+    if n_points < 3:
+        raise ValueError(f"n_points must be >= 3, got {n_points}")
     scale = (-mu * tau) ** (1.0 / alpha)
     if y_min is None:
         y_min = -_GRID_HALF_WIDTH * scale

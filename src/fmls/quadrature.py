@@ -1,13 +1,11 @@
-"""Adaptive Gauss-Kronrod quadrature of many intervals at once.
+"""Adaptive Gauss-Kronrod quadrature, refined in levels.
 
-A 7/15 Gauss-Kronrod pair on panels, refined in levels.  One level makes
-one vectorized integrand call with every new panel of every interval not
-yet converged, so the call count is the number of levels, not of panels.
-Each interval starts from the panels the caller gives it (a graded mesh
-toward an endpoint kink, say) and keeps its own tolerance, bisection and
-subdivision budget: at each level it bisects its worst panels, worst
-first, until the panels it leaves whole carry no more error than its
-tolerance.
+A 7/15 Gauss-Kronrod pair on panels.  The integral starts from the panels
+the caller gives it (the strips of a half-line cut, say).  One level makes
+one vectorized integrand call with every new panel, so the call count is
+the number of levels, not of panels.  The tolerance applies to the whole
+integral: at each level the worst panels are bisected, worst first, until
+the panels left whole carry no more error than the tolerance.
 """
 
 from __future__ import annotations
@@ -55,74 +53,55 @@ _WG = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 
 def adaptive_gauss_kronrod(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
-    owner: np.ndarray,
     *,
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integrate ``f`` on every interval; returns (values, errors, evaluations).
+) -> tuple[float, float, int]:
+    """Integrate ``f`` over the union of the panels [a[k], b[k]]; returns
+    (value, error, evaluations).
 
-    Interval i is the union of the initial panels [a[k], b[k]] with
-    ``owner[k] == i``, owners non-decreasing from 0.  Each level calls
-    ``f(x, owner)`` once: row k of ``x`` holds the 15 Kronrod nodes of a new
-    panel of interval ``owner[k]``, again in non-decreasing order, and ``f``
-    returns an array shaped like ``x``.  An interval is done once its panel
-    errors sum to at most ``max(abs_tol, rel_tol * |value|)``; until then it
-    spends at most ``max_subdivisions`` bisections.  Raises
-    :class:`QuadratureError` if an interval runs out of them, or must split
-    a panel too narrow to halve.
+    Each level calls ``f(x)`` once: row k of ``x`` holds the 15 Kronrod
+    nodes of a new panel, and ``f`` returns an array shaped like ``x``.  The
+    integral is done once its panel errors sum to at most
+    ``max(abs_tol, rel_tol * |value|)``; until then it spends at most
+    ``max_subdivisions`` bisections.  Raises :class:`QuadratureError` if it
+    runs out of them, or must split a panel too narrow to halve.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    owner = np.asarray(owner, dtype=np.intp)
     if not np.all(b > a):
         raise ValueError("every panel needs b > a")
-    count = int(owner[-1]) + 1 if owner.size else 0
-    values, errors = np.zeros(count), np.zeros(count)
-    budget = np.full(count, max_subdivisions)
-    evals = 0
-    # Rows (a, b, Kronrod value, error) of the panels of open intervals.
-    panels, panel_owner = np.empty((0, 4)), np.empty(0, dtype=np.intp)
-    while a.size:
+    budget, evals = max_subdivisions, 0
+    # Rows (a, b, Kronrod value, error) of the panels evaluated and kept whole.
+    panels = np.empty((0, 4))
+    while True:
         half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        fx = np.asarray(f(mid[:, None] + half[:, None] * _XGK, owner), dtype=float)
+        fx = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=float)
         evals += fx.size
         kronrod = half * (fx @ _WGK)
         error = np.abs(kronrod - half * (fx[:, 1::2] @ _WG))
         panels = np.concatenate([panels, np.column_stack((a, b, kronrod, error))])
-        panel_owner = np.concatenate([panel_owner, owner])
-        total = np.bincount(panel_owner, panels[:, 2], count)
-        total_err = np.bincount(panel_owner, panels[:, 3], count)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        done = (total_err <= tol) & (np.bincount(panel_owner, minlength=count) > 0)
-        values[done], errors[done] = total[done], total_err[done]
-        rows = np.flatnonzero(~done[panel_owner])
-        if not rows.size:
-            break
-        # The open intervals' panels, each interval's worst first; split them
-        # in turn while those left whole carry more error than the tolerance.
-        rows = rows[np.lexsort((-panels[rows, 3], panel_owner[rows]))]
-        panels, panel_owner = panels[rows], panel_owner[rows]
-        first = np.searchsorted(panel_owner, panel_owner)  # the interval's worst
-        rank = np.arange(rows.size) - first
-        worse = np.cumsum(panels[:, 3]) - panels[:, 3]
-        whole = total_err[panel_owner] - (worse - worse[first])
-        split = (whole > tol[panel_owner]) & (rank < budget[panel_owner])
-        stuck = panel_owner[(rank == 0) & ~split]
-        if stuck.size:
+        value, total_err = float(panels[:, 2].sum()), float(panels[:, 3].sum())
+        tol = max(abs_tol, rel_tol * abs(value))
+        if total_err <= tol:
+            return value, total_err, evals
+        # Worst first: split each panel while those left whole carry more
+        # error than the tolerance.
+        panels = panels[np.argsort(-panels[:, 3])]
+        whole = total_err - (np.cumsum(panels[:, 3]) - panels[:, 3])
+        split = (whole > tol) & (np.arange(len(panels)) < budget)
+        if not split[0]:
             raise QuadratureError(
-                f"quadrature on interval {stuck[0]} did not converge within "
-                f"{max_subdivisions} subdivisions (error {total_err[stuck[0]]:.3e})"
+                f"quadrature did not converge within {max_subdivisions} "
+                f"subdivisions (error {total_err:.3e})"
             )
         pa, pb = panels[split, 0], panels[split, 1]
         if np.any(pb - pa < 1e-14 * (np.abs(pa) + np.abs(pb) + 1.0)):
             raise QuadratureError("a panel is too small to subdivide further")
-        budget -= np.bincount(panel_owner[split], minlength=count)
-        owner = np.repeat(panel_owner[split], 2)
+        budget -= pa.size
         a, b = np.repeat(pa, 2), np.repeat(pb, 2)
         a[1::2] = b[::2] = 0.5 * (pa + pb)
-        panels, panel_owner = panels[~split], panel_owner[~split]
-    return values, errors, evals
+        panels = panels[~split]

@@ -77,11 +77,11 @@ def ln_gamma_real(x: float) -> float:
 
 
 def _sinpi(x: float) -> float:
-    """sin(pi*x) with exact argument reduction (accurate for large |x|)."""
-    n = math.floor(x)
-    r = x - n  # in [0, 1), exact
-    s = math.sin(math.pi * r)
-    return -s if (int(n) & 1) else s
+    """sin(pi*x) with exact argument reduction (accurate for large |x| and
+    next to the integers)."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))  # x - n in [-0.5, 0.5], exact
+    return -s if (n & 1) else s
 
 
 def reciprocal_gamma(x: float) -> float:

@@ -158,7 +158,8 @@ class TestPriceCommand:
             "error_estimate": r.error_estimate,
             "diagnostics": r.diagnostics,
         }
-        # Strips end at multiples of 5; e^{Re z}/u of P1 falls under 1e-14 by 55.
+        # Strips end at multiples of 5; the bound e^{Re z - ak}/u of the
+        # damped integral past u falls under 1e-14 by 55.
         assert got["diagnostics"]["u_cut"] == 55.0
 
     def test_help_lists_refine_and_no_grid_flags(self, capsys):
@@ -327,6 +328,16 @@ class TestDensityCommand:
             assert code == 2
             assert out == ""
             assert "finite" in err
+
+    def test_too_few_points_exit_code(self, capsys):
+        for points in ("0", "1", "2"):
+            code, out, err = run_main(
+                capsys,
+                ["density", "--alpha", "1.7", "--sigma", "0.2", "--tau", "1", "--points", points],
+            )
+            assert code == 2
+            assert out == ""
+            assert "n_points" in err
 
     def test_contour_flag(self, capsys):
         code1, out1, _ = run_main(capsys, self.DENSITY_ARGS + ["--points", "11", "--c1", "0.4"])

@@ -1,4 +1,4 @@
-"""The batched adaptive Gauss-Kronrod rule on its own."""
+"""The adaptive Gauss-Kronrod rule on its own."""
 
 import math
 
@@ -17,61 +17,54 @@ def counted(f):
     """``f`` with a record of the number of rows of each call."""
     calls = []
 
-    def wrapper(x, owner):
-        assert x.shape == (owner.size, 15)
-        assert np.all(np.diff(owner) >= 0)
-        calls.append(owner.size)
-        return f(x, owner)
+    def wrapper(x):
+        assert x.ndim == 2 and x.shape[1] == 15
+        calls.append(x.shape[0])
+        return f(x)
 
     return wrapper, calls
 
 
 def test_several_intervals_agree_with_scipy_quad():
-    functions = [
-        lambda x: np.sin(3.0 * x) * np.exp(-x),
-        np.sqrt,  # a derivative singularity at the left end
-        lambda x: 1.0 / (1.0 + x * x),
-        lambda x: np.cos(40.0 * x),
+    cases = [
+        (lambda x: np.sin(3.0 * x) * np.exp(-x), [0.0], [4.0]),
+        (np.sqrt, [0.0], [2.0]),  # a derivative singularity at the left end
+        (lambda x: 1.0 / (1.0 + x * x), [-5.0, 0.0], [0.0, 5.0]),  # two panels that meet at 0
+        (lambda x: np.cos(40.0 * x), [0.0], [1.0]),
     ]
-    bounds = [(0.0, 4.0), (0.0, 2.0), (-5.0, 5.0), (0.0, 1.0)]
-    # Interval 2 starts as two panels that meet at 0.
-    a = [0.0, 0.0, -5.0, 0.0, 0.0]
-    b = [4.0, 2.0, 0.0, 5.0, 1.0]
-    owner = [0, 1, 2, 2, 3]
-
-    def f(x, owner):
-        out = np.empty_like(x)
-        for i, fn in enumerate(functions):
-            rows = owner == i
-            out[rows] = fn(x[rows])
-        return out
-
-    f, calls = counted(f)
-    values, errors, evals = adaptive_gauss_kronrod(f, a, b, owner, **TOLERANCES)
-    assert isinstance(evals, int) and evals == 15 * sum(calls)
-    assert len(calls) > 1  # sqrt and cos(40x) need refining
-    for fn, (lo, hi), value, error in zip(functions, bounds, values, errors):
-        want = quad(lambda t: float(fn(np.array(t))), lo, hi, limit=200, epsabs=1e-13)[0]
+    for fn, a, b in cases:
+        f, calls = counted(fn)
+        value, error, evals = adaptive_gauss_kronrod(f, a, b, **TOLERANCES)
+        assert isinstance(evals, int) and evals == 15 * sum(calls)
+        want = quad(lambda t: float(fn(np.array(t))), a[0], b[-1], limit=200, epsabs=1e-13)[0]
         assert value == pytest.approx(want, rel=1e-9, abs=1e-11)
         assert error <= max(TOLERANCES["abs_tol"], TOLERANCES["rel_tol"] * abs(value))
+    assert len(calls) > 1  # cos(40x) needs refining
+
+
+def test_the_tolerance_applies_to_the_whole_integral():
+    # exp(-x) converges on its panel at once; cos(40x) on the other needs
+    # bisections, and those stay on its panel.
+    f, calls = counted(lambda x: np.where(x < 1.0, np.exp(-x), np.cos(40.0 * (x - 1.0))))
+    value, _, _ = adaptive_gauss_kronrod(f, [0.0, 1.0], [1.0, 2.0], **TOLERANCES)
+    assert value == pytest.approx(1.0 - math.exp(-1.0) + math.sin(40.0) / 40.0, abs=1e-12)
+    assert calls[0] == 2 and len(calls) > 1
+    with pytest.raises(QuadratureError, match="1 subdivisions"):
+        adaptive_gauss_kronrod(
+            f, [0.0, 1.0], [1.0, 2.0], rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=1
+        )
 
 
 def test_one_panel_integrates_polynomials_to_degree_22_exactly():
     rng = np.random.default_rng(22)
-    coeffs = [rng.uniform(-1.0, 1.0, degree + 1) for degree in range(23)]
     lo, hi = -1.0, 3.0
-
-    def f(x, owner):
-        return np.array([poly.polyval(row, coeffs[i]) for row, i in zip(x, owner)])
-
-    f, calls = counted(f)
-    count = len(coeffs)
-    values, _, evals = adaptive_gauss_kronrod(
-        f, [lo] * count, [hi] * count, range(count),
-        rel_tol=0.0, abs_tol=math.inf, max_subdivisions=0,
-    )
-    assert calls == [count] and evals == 15 * count  # no bisection
-    for c, value in zip(coeffs, values):
+    for degree in range(23):
+        c = rng.uniform(-1.0, 1.0, degree + 1)
+        f, calls = counted(lambda x: poly.polyval(x, c))
+        value, _, evals = adaptive_gauss_kronrod(
+            f, [lo], [hi], rel_tol=0.0, abs_tol=math.inf, max_subdivisions=0
+        )
+        assert calls == [1] and evals == 15  # no bisection
         antiderivative = poly.polyint(c)
         want = poly.polyval(hi, antiderivative) - poly.polyval(lo, antiderivative)
         scale = poly.polyval(hi, poly.polyint(np.abs(c))) * (hi - lo)
@@ -79,33 +72,11 @@ def test_one_panel_integrates_polynomials_to_degree_22_exactly():
 
 
 def test_an_interval_that_cannot_converge_raises():
-    # 1/x is not integrable on [0, 1]; the other interval is harmless.
-    def f(x, owner):
-        return np.where(owner[:, None] == 0, 1.0 / x, np.exp(-x))
-
+    # 1/x is not integrable on [0, 1].
     with pytest.raises(QuadratureError):
-        adaptive_gauss_kronrod(f, [0.0, 0.0], [1.0, 1.0], [0, 1], **TOLERANCES)
-
-
-def test_each_interval_keeps_its_own_budget():
-    # cos(40x) on [0, 1] needs bisections; exp(-x) converges on one panel.
-    def f(x, owner):
-        return np.where(owner[:, None] == 0, np.exp(-x), np.cos(40.0 * x))
-
-    values, _, evals = adaptive_gauss_kronrod(
-        f, [0.0, 0.0], [1.0, 1.0], [0, 1], **TOLERANCES
-    )
-    assert values[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
-    assert values[1] == pytest.approx(math.sin(40.0) / 40.0, abs=1e-12)
-    with pytest.raises(QuadratureError, match="interval 1"):
-        adaptive_gauss_kronrod(
-            f, [0.0, 0.0], [1.0, 1.0], [0, 1],
-            rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=1,
-        )
+        adaptive_gauss_kronrod(lambda x: 1.0 / x, [0.0], [1.0], **TOLERANCES)
 
 
 def test_rejects_an_empty_panel():
     with pytest.raises(ValueError):
-        adaptive_gauss_kronrod(
-            lambda x, owner: x, [0.0, 1.0], [1.0, 1.0], [0, 1], **TOLERANCES
-        )
+        adaptive_gauss_kronrod(lambda x: x, [0.0, 1.0], [1.0, 1.0], **TOLERANCES)

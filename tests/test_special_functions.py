@@ -128,6 +128,15 @@ class TestReciprocalGamma:
             reciprocal_gamma(-400.5)
 
 
+    def test_negative_axis_near_the_poles_against_scipy(self):
+        # Points just left of 0, -1, -2 and -3 once lost digits to the
+        # reduction x - floor(x) in sin(pi*x).
+        offsets = (1e-10, 1e-7, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-7)
+        for x in (-k - d for k in range(4) for d in offsets):
+            want = float(sp.rgamma(x))
+            assert reciprocal_gamma(x) == pytest.approx(want, rel=1e-13, abs=0.0), f"x={x}"
+
+
 class TestLnGammaComplex:
     """Complex log Gamma, ``_loggamma_vec``."""
 
