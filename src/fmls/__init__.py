@@ -38,16 +38,10 @@ from .model import (
 )
 from .series import (
     SeriesTable,
-    Truncation,
     convergence_table,
     implied_vol,
     price_series,
     series_term,
-)
-from .special_functions import (
-    ln_gamma_real,
-    normal_cdf,
-    reciprocal_gamma,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +58,6 @@ __all__ = [
     "SeriesOverflowError",
     "SeriesTable",
     "StableModel",
-    "Truncation",
     "bs_price",
     "build_density_grid",
     "convergence_table",
@@ -72,12 +65,9 @@ __all__ = [
     "discretized_price",
     "gil_pelaez_price",
     "implied_vol",
-    "ln_gamma_real",
     "log_moneyness",
     "martingale_drift",
-    "normal_cdf",
     "price_series",
-    "reciprocal_gamma",
     "series_term",
     "stable_density",
     "stable_density_values",

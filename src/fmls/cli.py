@@ -19,7 +19,7 @@ from .bs import bs_price
 from .charfn import gil_pelaez_price
 from .greens import build_density_grid, discretized_price
 from .model import OptionSpec, PricingResult, StableModel, martingale_drift
-from .series import Truncation, convergence_table, implied_vol, price_series
+from .series import convergence_table, implied_vol, price_series
 
 __all__ = ["main", "entry"]
 
@@ -42,17 +42,20 @@ def _spec_from_args(args: argparse.Namespace) -> OptionSpec:
 
 
 def _price_once(
-    engine: str, spec: OptionSpec, alpha: float, trunc: Truncation | None = None,
-    refine: int = 0,
+    engine: str, spec: OptionSpec, alpha: float, n_max: int = 24, refine: int = 0
 ) -> PricingResult:
-    """Price with one engine; each setting left out is the engine's default."""
+    """Price with one engine; each setting left out is the engine's default.
+
+    The model is built first, so every engine, Black-Scholes too, rejects an
+    alpha outside (1, 2].
+    """
+    model = StableModel.from_spec(spec, alpha)
     if engine == "bs":
         return PricingResult(
             price=bs_price(spec), engine="black_scholes", terms_used=0, error_estimate=0.0
         )
-    model = StableModel.from_spec(spec, alpha)
     if engine == "series":
-        return price_series(model, spec, trunc)
+        return price_series(model, spec, n_max)
     if engine == "gilpelaez":
         return gil_pelaez_price(model, spec)
     if engine == "discretization":
@@ -87,8 +90,7 @@ def _emit_result(result: PricingResult, fmt: str) -> None:
 
 def _cmd_price(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    trunc = Truncation(n_max=args.nmax, m_max=args.mmax, tail_tol=args.tol)
-    result = _price_once(args.engine, spec, args.alpha, trunc, args.refine)
+    result = _price_once(args.engine, spec, args.alpha, args.nmax, args.refine)
     _emit_result(result, args.format)
     return 0
 
@@ -96,7 +98,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     model = StableModel.from_spec(spec, args.alpha)
-    table = convergence_table(model, spec, Truncation(n_max=args.nmax, m_max=args.mmax))
+    table = convergence_table(model, spec, args.nmax, args.mmax)
     ms = list(range(1, args.mmax + 1))
     if args.format == "json":
         payload = {
@@ -224,10 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True, help="volatility per sqrt(year)")
     p.add_argument("--alpha", type=float, required=True, help="stability index in (1, 2]")
     p.add_argument("--engine", choices=_ENGINE_FLAGS, default="series")
-    p.add_argument("--nmax", type=int, default=Truncation.n_max, help="series: max n index")
-    p.add_argument("--mmax", type=int, default=Truncation.m_max, help="series: max m index")
     p.add_argument(
-        "--tol", type=float, default=Truncation.tail_tol, help="series: column early-stop tolerance"
+        "--nmax", type=int, default=24,
+        help="series: max n index; the m columns stop by themselves, at the first "
+        "whose terms sum under 1e-8 * strike",
     )
     p.add_argument(
         "--refine", type=int, default=0,

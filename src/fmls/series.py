@@ -11,10 +11,12 @@ non-positive integer vanish identically (the reciprocal Gamma is exact
 zero there), which is what truncates the sum so quickly in practice.
 
 One m-major (column by column) sum with term-by-term Kahan compensation
-serves both views: the early-stopping price and the full convergence table
-read the same running total, so the table's last partial sum is the price.
-Each term's magnitude is assembled in log space, which turns intermediate
-overflow into an explicit error instead of inf.
+serves both views: the price and the convergence table read the same running
+total, so the table's last partial sum is the price.  The price sums rows
+0..n_max and stops at the first column whose terms sum under 1e-8 * K in
+absolute value; a column 64 that still contributes raises.  Each term's
+magnitude is assembled in log space, which turns intermediate overflow into
+an explicit error instead of inf.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .special_functions import ln_gamma_real, reciprocal_gamma
 
 __all__ = [
-    "Truncation",
     "SeriesTable",
     "series_term",
     "price_series",
@@ -46,36 +47,12 @@ _MAX_TERM_LOG = 700.0
 _IV_SIGMA_LO = 1e-4
 _IV_SIGMA_HI = 5.0
 
+# price_series stops at the first column whose |terms| sum under this times K.
+_TAIL_REL = 1e-8
 
-@dataclass(frozen=True)
-class Truncation:
-    """Rectangle of retained indices plus the early-stop threshold.
-
-    ``tail_tol`` is a currency amount: once a whole m-column contributes
-    less than this in absolute value, summation stops.  ``None`` resolves
-    to 1e-8 * strike at evaluation time; 0 disables both the early stop and
-    the non-convergence check.
-    """
-
-    n_max: int = 24
-    m_max: int = 32
-    tail_tol: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.n_max <= _INDEX_CAP):
-            raise ValueError(f"n_max must be in [0, {_INDEX_CAP}], got {self.n_max}")
-        if not (1 <= self.m_max <= _INDEX_CAP):
-            raise ValueError(f"m_max must be in [1, {_INDEX_CAP}], got {self.m_max}")
-        if self.tail_tol is not None and not (self.tail_tol >= 0.0):
-            raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol!r}")
-
-    def resolve_tail_tol(self, strike: float) -> float:
-        return 1e-8 * strike if self.tail_tol is None else self.tail_tol
-
-
-# Rectangle of every implied-vol reprice, wider than the default because a
-# solve may step to any sigma of its bracket, up to _IV_SIGMA_HI.
-_IV_TRUNC = Truncation(n_max=40, m_max=56)
+# Rows of every implied-vol reprice, more than the default because a solve
+# may step to any sigma of its bracket, up to _IV_SIGMA_HI.
+_IV_N_MAX = 40
 
 
 @dataclass(frozen=True)
@@ -124,19 +101,24 @@ def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
 
 
 def _columns(
-    model: StableModel, spec: OptionSpec, trunc: Truncation
+    model: StableModel, spec: OptionSpec, n_max: int, m_max: int
 ) -> Iterator[tuple[list[float], float, float]]:
-    """Yield (terms, running total, |column| sum) for m = 1, ..., m_max.
+    """Yield (terms, running total, |column| sum) for m = 1, ..., m_max, each
+    column over the rows n = 0, ..., n_max.
 
     Terms are summed in m-major order with term-by-term Kahan compensation;
     the running total includes every column yielded so far.
     """
+    if not (0 <= n_max <= _INDEX_CAP):
+        raise ValueError(f"n_max must be in [0, {_INDEX_CAP}], got {n_max}")
+    if not (1 <= m_max <= _INDEX_CAP):
+        raise ValueError(f"m_max must be in [1, {_INDEX_CAP}], got {m_max}")
     total = 0.0
     comp = 0.0
-    for m in range(1, trunc.m_max + 1):
+    for m in range(1, m_max + 1):
         terms = []
         col_abs = 0.0
-        for n in range(trunc.n_max + 1):
+        for n in range(n_max + 1):
             t = series_term(model, spec, n, m)
             y = t - comp
             s = total + y
@@ -147,29 +129,27 @@ def _columns(
         yield terms, total, col_abs
 
 
-def price_series(
-    model: StableModel, spec: OptionSpec, trunc: Truncation | None = None
-) -> PricingResult:
-    """Sum the series over the truncation rectangle with whole-column early stop.
+def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> PricingResult:
+    """Sum rows 0..n_max of the series column by column, up to the first
+    column whose terms sum under 1e-8 * K in absolute value.
 
-    Raises :class:`ConvergenceError` when the final column still contributes
-    more than ``tail_tol`` (and the tolerance is positive).
+    That column's sum is the error estimate.  Raises
+    :class:`ConvergenceError` when column 64, the index cap, still
+    contributes that much.
     """
-    trunc = trunc or Truncation()
-    tail_tol = trunc.resolve_tail_tol(spec.strike)
+    tail_tol = _TAIL_REL * spec.strike
     base = -log_moneyness(spec) - model.mu * spec.tau
 
     for columns_used, (_, total, col_abs) in enumerate(
-        _columns(model, spec, trunc), start=1
+        _columns(model, spec, n_max, _INDEX_CAP), start=1
     ):
-        if tail_tol > 0.0 and col_abs < tail_tol:
+        if col_abs < tail_tol:
             break
     else:
-        if tail_tol > 0.0 and col_abs >= tail_tol:
-            raise ConvergenceError(
-                f"column {trunc.m_max} still contributes {col_abs:.3e} "
-                f"(tail_tol={tail_tol:.3e}); enlarge m_max"
-            )
+        raise ConvergenceError(
+            f"column {_INDEX_CAP} still contributes {col_abs:.3e} "
+            f"(tolerance {tail_tol:.3e})"
+        )
 
     diagnostics: dict[str, object] = {
         "columns_used": columns_used,
@@ -186,24 +166,23 @@ def price_series(
     return PricingResult(
         price=price,
         engine="series",
-        terms_used=columns_used * (trunc.n_max + 1),
+        terms_used=columns_used * (n_max + 1),
         error_estimate=col_abs,
         diagnostics=diagnostics,
     )
 
 
 def convergence_table(
-    model: StableModel, spec: OptionSpec, trunc: Truncation | None = None
+    model: StableModel, spec: OptionSpec, n_max: int, m_max: int
 ) -> SeriesTable:
-    """Full term matrix over the rectangle plus cumulative column sums.
+    """Term matrix over rows 0..n_max and columns 1..m_max plus cumulative
+    column sums.
 
-    Always fills the whole rectangle: ``tail_tol`` is not read, so there is
-    no early stop and no convergence check.  The sum is the one
-    :func:`price_series` takes, so ``converged_price`` equals its unfloored
-    price with ``tail_tol=0``.
+    Always fills the whole rectangle, with no early stop and no convergence
+    check.  The sum is the one :func:`price_series` takes, so at ``m_max``
+    equal to its ``columns_used``, ``converged_price`` is its unfloored price.
     """
-    trunc = trunc or Truncation()
-    columns, totals, _ = zip(*_columns(model, spec, trunc))
+    columns, totals, _ = zip(*_columns(model, spec, n_max, m_max))
     return SeriesTable(
         terms=np.column_stack(columns),
         partial_sums=np.array(totals),
@@ -269,7 +248,7 @@ def implied_vol(
     The seed is the sigma at which :func:`bs_price` meets the target, found
     by the same search on the Black-Scholes price, so it costs no series
     term; at alpha = 2 it is already the root.  From there each step is a
-    secant step on ``price_series(..., _IV_TRUNC)`` through the last two
+    secant step on ``price_series`` with 40 rows through the last two
     finite values (the first uses the Black-Scholes slope at the seed).
     Every evaluated sign tightens the bracket [_IV_SIGMA_LO, _IV_SIGMA_HI].
     The step falls back to the bracket midpoint whenever the secant step
@@ -286,8 +265,8 @@ def implied_vol(
     ``tol``: the series price jumps there.  The target must respect the
     no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     intrinsic = max(spot - strike * math.exp(-rate * tau), 0.0)
     if not (intrinsic < target_price < spot):
         raise ValueError(
@@ -301,7 +280,7 @@ def implied_vol(
     def series_diff(sigma: float) -> float:
         spec = spec_at(sigma)
         model = StableModel.from_spec(spec, alpha)
-        return price_series(model, spec, _IV_TRUNC).price - target_price
+        return price_series(model, spec, _IV_N_MAX).price - target_price
 
     # The bracket holds mathematically: price -> intrinsic as sigma -> 0 and
     # -> spot as sigma -> inf, so the endpoints are never evaluated.

@@ -34,7 +34,6 @@ from fmls.greens import (
 )
 from fmls.model import OptionSpec, StableModel, martingale_drift
 from fmls.series import (
-    Truncation,
     convergence_table,
     implied_vol,
     price_series,
@@ -68,10 +67,9 @@ def test_criterion_1_table_one_reproduction():
     def body():
         spec = _table_spec()
         model = StableModel.from_spec(spec, 1.7)
-        trunc = Truncation(n_max=8, m_max=7, tail_tol=0.0)
-        convergence_table(model, spec, trunc)  # warm-up outside the timed run
+        convergence_table(model, spec, 8, 7)  # warm-up outside the timed run
         t0 = time.perf_counter()
-        table = convergence_table(model, spec, trunc)
+        table = convergence_table(model, spec, 8, 7)
         elapsed = time.perf_counter() - t0
         _assert_cells(
             table.terms, table.partial_sums, TABLE1_TERMS, TABLE1_CALL, TABLE1_SLACK
@@ -86,10 +84,9 @@ def test_criterion_2_table_two_reproduction():
     def body():
         spec = _table_spec(tau=5.0)
         model = StableModel.from_spec(spec, 1.7)
-        trunc = Truncation(n_max=8, m_max=10, tail_tol=0.0)
-        convergence_table(model, spec, trunc)
+        convergence_table(model, spec, 8, 10)
         t0 = time.perf_counter()
-        table = convergence_table(model, spec, trunc)
+        table = convergence_table(model, spec, 8, 10)
         elapsed = time.perf_counter() - t0
         _assert_cells(
             table.terms, table.partial_sums, TABLE2_TERMS, TABLE2_CALL, TABLE2_SLACK

@@ -16,7 +16,7 @@ from fmls.cli import main
 from fmls.charfn import gil_pelaez_price
 from fmls.greens import discretized_price
 from fmls.model import OptionSpec, StableModel
-from fmls.series import Truncation, convergence_table, price_series
+from fmls.series import convergence_table, price_series
 
 PRICE_ARGS = [
     "price",
@@ -77,17 +77,20 @@ class TestPriceCommand:
         parsed = json.loads(out)["price"]
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.7)
-        direct = price_series(m, s, Truncation(n_max=24, m_max=32)).price
+        direct = price_series(m, s).price
         assert parsed == direct  # exact float equality
 
     def test_alpha_range_exit_code(self, capsys):
-        code, _, err = run_main(
-            capsys,
-            ["price", "--spot", "3800", "--strike", "4000", "--rate", "0.01",
-             "--sigma", "0.2", "--tau", "1", "--alpha", "0.9"],
-        )
-        assert code == 2
-        assert "alpha" in err
+        for engine in ("series", "gilpelaez", "discretization", "bs"):
+            for alpha in ("0.9", "2.5"):
+                code, out, err = run_main(
+                    capsys,
+                    ["price", "--spot", "3800", "--strike", "4000", "--rate", "0.01",
+                     "--sigma", "0.2", "--tau", "1", "--alpha", alpha, "--engine", engine],
+                )
+                assert code == 2, (engine, alpha)
+                assert out == ""
+                assert "alpha" in err
 
     def test_unknown_flag_exit_code(self, capsys):
         code = main(PRICE_ARGS + ["--bogus", "1"])
@@ -100,11 +103,14 @@ class TestPriceCommand:
         assert code == 2
 
     def test_numerical_failure_exit_code(self, capsys):
+        # At sigma = 1.5, tau = 10 column 64 still contributes.
         code, _, err = run_main(
-            capsys, PRICE_ARGS + ["--nmax", "2", "--mmax", "2", "--tol", "1e-9"]
+            capsys,
+            ["price", "--spot", "100", "--strike", "100", "--rate", "0.01",
+             "--sigma", "1.5", "--tau", "10", "--alpha", "2"],
         )
         assert code == 3
-        assert "numerical" in err
+        assert "numerical" in err and "column 64" in err
 
     def test_discretization_default_grid_without_warning(self, capsys):
         # argparse keeps the last --alpha, so this prices at alpha = 1.5.
@@ -143,6 +149,11 @@ class TestPriceCommand:
 
     def test_umax_is_rejected(self, capsys):
         code, _, _ = run_main(capsys, PRICE_ARGS + ["--engine", "gilpelaez", "--umax", "10"])
+        assert code == 2
+
+    @pytest.mark.parametrize("flag", [["--mmax", "2"], ["--tol", "1e-9"]])
+    def test_column_cap_and_tolerance_are_rejected(self, capsys, flag):
+        code, _, _ = run_main(capsys, PRICE_ARGS + flag)
         assert code == 2
 
     def test_gilpelaez_json_reports_the_cut(self, capsys):
@@ -194,7 +205,7 @@ class TestTableCommand:
         assert lines[0] == "n,1,2,3,4,5,6,7"
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.7)
-        table = convergence_table(m, s, Truncation(n_max=8, m_max=7, tail_tol=0.0))
+        table = convergence_table(m, s, 8, 7)
         for n, line in enumerate(lines[1:10]):
             cells = line.split(",")
             assert cells[0] == str(n)
@@ -262,6 +273,17 @@ class TestCompareCommand:
         (row,) = json.loads(out)["rows"]
         assert row["prices"] == [None]
         assert row["notes"][0]
+
+    def test_black_scholes_cell_checks_alpha(self, capsys):
+        code, out, _ = run_main(
+            capsys,
+            ["compare", "--spots", "3800", "--alphas", "0.5,3", "--engines", "bs",
+             "--format", "json"],
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["prices"] == [None, None]
+        assert all("alpha" in note for note in row["notes"])
 
     @pytest.mark.parametrize("engine", ["series", "gilpelaez", "discretization"])
     def test_cell_is_the_price_command_with_its_defaults(self, capsys, engine):
@@ -371,7 +393,7 @@ class TestImpliedVolCommand:
         assert "bounds" in err
 
     def test_non_positive_tolerance_exit_code(self, capsys):
-        for tol in ("nan", "0"):
+        for tol in ("nan", "0", "inf"):
             code, _, err = run_main(
                 capsys,
                 ["implied-vol", "--spot", "3800", "--strike", "4000", "--rate", "0.01",

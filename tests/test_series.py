@@ -25,7 +25,6 @@ from fmls.bs import bs_price
 from fmls.errors import ConvergenceError, NumericalError, SeriesOverflowError
 from fmls.model import OptionSpec, StableModel
 from fmls.series import (
-    Truncation,
     convergence_table,
     implied_vol,
     price_series,
@@ -109,7 +108,7 @@ class TestConvergenceTable:
     def test_table_one(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
-        table = convergence_table(m, s, Truncation(n_max=8, m_max=7, tail_tol=0.0))
+        table = convergence_table(m, s, 8, 7)
         assert_table_matches(
             table.terms, table.partial_sums, TABLE1_TERMS, TABLE1_CALL, TABLE1_SLACK
         )
@@ -118,7 +117,7 @@ class TestConvergenceTable:
     def test_table_two(self):
         s = spec_otm(tau=5.0)
         m = StableModel.from_spec(s, 1.7)
-        table = convergence_table(m, s, Truncation(n_max=8, m_max=10, tail_tol=0.0))
+        table = convergence_table(m, s, 8, 10)
         assert_table_matches(
             table.terms, table.partial_sums, TABLE2_TERMS, TABLE2_CALL, TABLE2_SLACK
         )
@@ -126,7 +125,7 @@ class TestConvergenceTable:
     def test_partial_sums_are_column_cumsums(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
-        table = convergence_table(m, s, Truncation(n_max=8, m_max=7, tail_tol=0.0))
+        table = convergence_table(m, s, 8, 7)
         cums = np.cumsum(table.terms.sum(axis=0))
         assert np.allclose(table.partial_sums, cums, rtol=0, atol=1e-9)
         assert table.converged_price == table.partial_sums[-1]
@@ -134,7 +133,7 @@ class TestConvergenceTable:
     def test_degenerate_single_cell(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
-        table = convergence_table(m, s, Truncation(n_max=0, m_max=1, tail_tol=0.0))
+        table = convergence_table(m, s, 0, 1)
         assert table.terms.shape == (1, 1)
         assert table.partial_sums[0] == table.terms[0, 0]
         assert table.terms[0, 0] == series_term(m, s, 0, 1)
@@ -147,12 +146,10 @@ class TestConvergenceTable:
         log_tau=st.floats(math.log(0.002), math.log(10.0)),
         log_sigma=st.floats(math.log(0.05), math.log(1.5)),
         alpha=st.floats(1.1, 2.0, exclude_min=True),
-        trunc=st.sampled_from(
-            [Truncation(tail_tol=0.0), Truncation(n_max=8, m_max=7, tail_tol=0.0)]
-        ),
+        n_max=st.sampled_from([8, 24]),
     )
     def test_converged_price_is_the_unfloored_series_price(
-        self, moneyness, log_tau, log_sigma, alpha, trunc
+        self, moneyness, log_tau, log_sigma, alpha, n_max
     ):
         s = OptionSpec(
             spot=100.0 * moneyness,
@@ -163,29 +160,29 @@ class TestConvergenceTable:
         )
         m = StableModel.from_spec(s, alpha)
         try:
-            table = convergence_table(m, s, trunc)
-            result = price_series(m, s, trunc)
+            result = price_series(m, s, n_max)
         except NumericalError:
             return
         if result.diagnostics.get("negative_sum_floored"):
             return
-        assert table.converged_price == result.price
+        columns = result.diagnostics["columns_used"]
+        assert convergence_table(m, s, n_max, columns).converged_price == result.price
 
 
 class TestPriceSeries:
     def test_table_one_price(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
-        r = price_series(m, s, Truncation(n_max=8, m_max=7, tail_tol=0.0))
+        r = price_series(m, s, 8)
         assert r.price == pytest.approx(256.035, abs=0.001)
         assert r.engine == "series"
-        assert r.terms_used == 9 * 7
+        assert r.terms_used == 9 * r.diagnostics["columns_used"]
         assert r.error_estimate >= 0.0
 
     def test_table_two_price(self):
         s = spec_otm(tau=5.0)
         m = StableModel.from_spec(s, 1.7)
-        r = price_series(m, s, Truncation(n_max=8, m_max=10, tail_tol=0.0))
+        r = price_series(m, s, 8)
         assert r.price == pytest.approx(781.706, abs=0.001)
 
     def test_comparison_rows(self):
@@ -207,7 +204,7 @@ class TestPriceSeries:
     def test_early_stop_and_diagnostics(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
-        r = price_series(m, s)  # default truncation, tail_tol 1e-8 * K
+        r = price_series(m, s)  # stops at the first column under 1e-8 * K
         assert r.diagnostics["columns_used"] < 32
         assert r.error_estimate < 1e-8 * 4000
         assert "nonpositive_base" not in r.diagnostics
@@ -219,20 +216,39 @@ class TestPriceSeries:
         assert r.diagnostics.get("nonpositive_base") is True
         assert r.price == pytest.approx(502.53, abs=0.01)
 
+    # Long-dated alpha = 2 contracts whose columns settle past column 32.
+    @pytest.mark.parametrize(
+        "spot, sigma, tau",
+        [(100.0, 0.8, 10.0), (100.0, 1.0, 5.0), (120.0, 0.9, 8.0), (80.0, 0.8, 10.0)],
+    )
+    def test_columns_grow_until_they_settle(self, spot, sigma, tau):
+        s = OptionSpec(spot=spot, strike=100.0, rate=0.01, sigma=sigma, tau=tau)
+        r = price_series(StableModel.from_spec(s, 2.0), s)
+        assert r.diagnostics["columns_used"] > 32
+        assert abs(r.price - bs_price(s)) <= r.error_estimate
+
     def test_nonconvergence_raises(self):
-        s = spec_otm()
-        m = StableModel.from_spec(s, 1.7)
-        with pytest.raises(ConvergenceError):
-            price_series(m, s, Truncation(n_max=8, m_max=3, tail_tol=1e-8 * 4000))
+        s = OptionSpec(spot=100.0, strike=100.0, rate=0.01, sigma=1.5, tau=10.0)
+        m = StableModel.from_spec(s, 2.0)
+        with pytest.raises(ConvergenceError, match="column 64"):
+            price_series(m, s)
 
     def test_negative_truncated_sum_floors_to_zero(self):
-        # Aggressive truncation of a far out-of-the-money contract leaves the
-        # partial sum negative; the engine must floor and flag it.
-        s = OptionSpec(spot=2000, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-        m = StableModel.from_spec(s, 1.7)
-        r = price_series(m, s, Truncation(n_max=1, m_max=1, tail_tol=0.0))
+        # The 25 rows of the default leave this out-of-the-money sum at -8.51;
+        # the engine must floor and flag it.
+        s = OptionSpec(
+            spot=100.0,
+            strike=120.19916110128553,
+            rate=0.01,
+            sigma=0.2116914595477283,
+            tau=0.153418037481606,
+        )
+        m = StableModel.from_spec(s, 1.500781534332782)
+        r = price_series(m, s)
         assert r.price == 0.0
         assert r.diagnostics["negative_sum_floored"] is True
+        table = convergence_table(m, s, 24, r.diagnostics["columns_used"])
+        assert table.converged_price == pytest.approx(-8.51, abs=0.005)
 
     def test_no_arbitrage_bounds(self):
         for spot in np.linspace(60, 160, 11):
@@ -264,12 +280,14 @@ class TestPriceSeries:
         assert all(b > a for a, b in zip(prices_v, prices_v[1:]))
 
     def test_truncation_validation(self):
-        with pytest.raises(ValueError):
-            Truncation(n_max=65)
-        with pytest.raises(ValueError):
-            Truncation(m_max=0)
-        with pytest.raises(ValueError):
-            Truncation(tail_tol=-1.0)
+        s = spec_otm()
+        m = StableModel.from_spec(s, 1.7)
+        for n_max in (-1, 65):
+            with pytest.raises(ValueError, match="n_max"):
+                price_series(m, s, n_max)
+        for m_max in (0, 65):
+            with pytest.raises(ValueError, match="m_max"):
+                convergence_table(m, s, 8, m_max)
 
 
 class TestAtmfSeries:
@@ -357,7 +375,7 @@ class TestImpliedVol:
     def test_solve_meets_tol_in_few_reprices_or_raises(self, moneyness, alpha, tau, sigma):
         s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
         try:
-            target = price_series(StableModel.from_spec(s, alpha), s, series._IV_TRUNC).price
+            target = price_series(StableModel.from_spec(s, alpha), s, series._IV_N_MAX).price
         except NumericalError:
             assume(False)
         assume(max(s.spot - s.strike * math.exp(-s.rate * tau), 0.0) < target < s.spot)
@@ -368,7 +386,7 @@ class TestImpliedVol:
                 return
         assert reprice.call_count <= 12
         back = OptionSpec(spot=s.spot, strike=s.strike, rate=s.rate, sigma=got, tau=tau)
-        repriced = price_series(StableModel.from_spec(back, alpha), back, series._IV_TRUNC)
+        repriced = price_series(StableModel.from_spec(back, alpha), back, series._IV_N_MAX)
         assert abs(repriced.price - target) <= 1e-9
 
     def test_bound_violations(self):
@@ -379,7 +397,6 @@ class TestImpliedVol:
         intrinsic = 4200 - 4000 * math.exp(-0.01)
         with pytest.raises(ValueError):
             implied_vol(4200, 4000, 0.01, 1.0, 1.7, intrinsic * 0.5)  # below intrinsic
-        with pytest.raises(ValueError):
-            implied_vol(3800, 4000, 0.01, 1.0, 1.7, 100.0, tol=0.0)
-        with pytest.raises(ValueError):
-            implied_vol(3800, 4000, 0.01, 1.0, 1.7, 100.0, tol=math.nan)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                implied_vol(3800, 4000, 0.01, 1.0, 1.7, 100.0, tol=tol)
