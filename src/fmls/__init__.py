@@ -20,12 +20,10 @@ from .errors import (
     SeriesOverflowError,
 )
 from .greens import (
-    BoundaryMassWarning,
     DensityGrid,
     build_density_grid,
     default_pricing_grid,
     discretized_price,
-    stable_density,
     stable_density_values,
 )
 from .model import (
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ENGINES",
-    "BoundaryMassWarning",
     "ConvergenceError",
     "DensityGrid",
     "NumericalError",
@@ -69,6 +66,5 @@ __all__ = [
     "martingale_drift",
     "price_series",
     "series_term",
-    "stable_density",
     "stable_density_values",
 ]

@@ -17,7 +17,7 @@ from typing import Any
 
 from .bs import bs_price
 from .charfn import gil_pelaez_price
-from .greens import build_density_grid, discretized_price
+from .greens import build_density_grid, discretized_price, leaking_edge
 from .model import OptionSpec, PricingResult, StableModel, martingale_drift
 from .series import convergence_table, implied_vol, price_series
 
@@ -175,6 +175,13 @@ def _cmd_density(args: argparse.Namespace) -> int:
         n_points=args.points,
         c1=args.c1,
     )
+    edge = leaking_edge(grid, args.alpha, mu, args.tau)
+    if edge is not None:
+        print(
+            f"note: density at the grid edge is {edge:.3e}; widen --ymin/--ymax "
+            "to capture the tail mass",
+            file=sys.stderr,
+        )
     print("y,density")
     for y, v in zip(grid.ys, grid.values):
         print(f"{_f(y)},{_f(v)}")

@@ -35,8 +35,7 @@ space (direct products overflow for moderate |y|).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +45,6 @@ from .special_functions import _log_sinpi_vec, _loggamma_vec, reciprocal_gamma
 
 __all__ = [
     "DensityGrid",
-    "BoundaryMassWarning",
-    "stable_density",
     "stable_density_values",
     "build_density_grid",
     "discretized_price",
@@ -68,17 +65,13 @@ _NEGATIVITY_TOL = -1e-8
 _CHUNK = 512
 
 # Defaults of the convolution pricer: half-width 11 scale units, 140
-# intervals, density renormalized to unit mass on the truncated grid.
+# intervals; the pricer renormalizes the density to unit mass on the grid.
 _PRICE_HALF_WIDTH = 11.0
 _PRICE_POINTS = 141
 # Default bounds for exported density grids: +/- 12 scale units.
 _GRID_HALF_WIDTH = 12.0
 # Each refine level quadruples the pricing grid; level 6 has 573,441 points.
 _MAX_REFINE = 6
-
-
-class BoundaryMassWarning(UserWarning):
-    """The density grid still carries visible mass at its boundary."""
 
 
 def _line_ratio(
@@ -281,7 +274,8 @@ def _half_line_transform(
 def stable_density_values(
     x: np.ndarray, alpha: float, c1: float | None = None
 ) -> np.ndarray:
-    """Vectorized density of the scaled log return at the points ``x``.
+    """Vectorized density of the scaled log return at the points ``x``; a
+    scalar ``x`` gives a scalar.
 
     ``c1`` is the contour abscissa in (-alpha, 1), the strip where both
     ratios are analytic; the density does not depend on it, up to
@@ -348,11 +342,6 @@ def stable_density_values(
     return out.reshape(x.shape) if x.shape else out[0]
 
 
-def stable_density(x: float, alpha: float, c1: float | None = None) -> float:
-    """Density of the scaled log return at a single point."""
-    return float(stable_density_values(np.array([float(x)]), alpha, c1)[0])
-
-
 @dataclass(frozen=True)
 class DensityGrid:
     """Uniform samples of the log-return density used by the convolution sum."""
@@ -392,10 +381,12 @@ class DensityGrid:
         return float(np.trapezoid(self.values, dx=self.step))
 
 
-# Edge density (per unit of y/scale) above which the grid is considered to
-# leak mass; sits between the heavy-tailed alpha <= 1.5 edge levels (which
-# must warn on default bounds) and alpha >= 1.7 (which must not).
+# Scaled edge density (per unit of y/scale) above which a grid leaks tail
+# mass; sits between the heavy-tailed alpha <= 1.5 edge levels on the
+# default bounds (which leak) and alpha >= 1.7 (which do not).
 DEFAULT_BOUNDARY_TOL = 7.5e-4
+# Factor by which the pricing grid's half-width grows while its edge leaks.
+_WIDENING = 1.5
 
 
 def build_density_grid(
@@ -406,17 +397,13 @@ def build_density_grid(
     y_max: float | None = None,
     n_points: int = 4001,
     c1: float | None = None,
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL,
 ) -> DensityGrid:
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
     Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
     of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
-    default.  A :class:`BoundaryMassWarning`
-    is emitted when the *scaled* density at either edge exceeds
-    ``boundary_tol`` (heavy left tails at low alpha).  The values are not
-    renormalized; :func:`default_pricing_grid` rescales its grid to unit
-    mass.
+    default.  The values are not renormalized; :func:`leaking_edge` tells
+    whether the bounds cut off visible tail mass.
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
@@ -431,15 +418,17 @@ def build_density_grid(
         raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
     ys = np.linspace(y_min, y_max, n_points)
     values = stable_density_values(ys / scale, alpha, c1) / scale
-    edge = max(values[0] * scale, values[-1] * scale)  # in scaled-variable units
-    if edge > boundary_tol:
-        warnings.warn(
-            f"density at the grid edge is {edge:.3e} (> {boundary_tol:.1e}); "
-            "extend the grid to capture the tail mass",
-            BoundaryMassWarning,
-            stacklevel=2,
-        )
     return DensityGrid(y_min=float(y_min), y_max=float(y_max), n_points=n_points, values=values)
+
+
+def leaking_edge(grid: DensityGrid, alpha: float, mu: float, tau: float) -> float | None:
+    """The scaled density at the higher edge of a :func:`build_density_grid`
+    grid of (alpha, mu, tau) when it exceeds ``DEFAULT_BOUNDARY_TOL``, so
+    that the grid cuts off visible tail mass (heavy left tails at low
+    alpha); ``None`` when neither edge leaks."""
+    scale = (-mu * tau) ** (1.0 / alpha)
+    edge = max(grid.values[0], grid.values[-1]) * scale
+    return float(edge) if edge > DEFAULT_BOUNDARY_TOL else None
 
 
 def default_pricing_grid(
@@ -448,21 +437,11 @@ def default_pricing_grid(
     """Grid of the convolution pricer: 140 * 4**refine intervals.
 
     ``refine`` in [0, 6] widens the grid by 6 scale units and quadruples the
-    interval count per level, re-widening (up to three times) while the
-    scaled edge density exceeds ``DEFAULT_BOUNDARY_TOL``; increasing levels
-    drive the discrete sum toward the series price.  The grid is
-    renormalized to unit mass and no :class:`BoundaryMassWarning` is emitted.
+    interval count per level; increasing levels drive the discrete sum
+    toward the series price.  While :func:`leaking_edge` finds the edge
+    leaking, the half-width grows by 1.5, up to three times.  The samples
+    are those of :func:`build_density_grid`, not renormalized.
     """
-    return _pricing_grid(model, spec, refine)[0]
-
-
-def _pricing_grid(
-    model: StableModel, spec: OptionSpec, refine: int
-) -> tuple[DensityGrid, dict[str, float]]:
-    """:func:`default_pricing_grid`, and how it was made: the grid's mass
-    before it was renormalized (``raw_mass``), its half-width in scale units
-    (``half_width``) and the number of times it was widened
-    (``widenings``)."""
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
@@ -476,41 +455,43 @@ def _pricing_grid(
             y_min=-half_width * scale,
             y_max=half_width * scale,
             n_points=n_points,
-            boundary_tol=math.inf,
         )
-        edge = max(grid.values[0], grid.values[-1]) * scale
-        if edge <= DEFAULT_BOUNDARY_TOL or widenings == 3:
-            break
-        half_width *= 1.5
-    raw_mass = grid.mass()
-    made = {"raw_mass": raw_mass, "half_width": half_width, "widenings": widenings}
-    return replace(grid, values=grid.values / raw_mass), made
+        if widenings == 3 or leaking_edge(grid, model.alpha, model.mu, spec.tau) is None:
+            return grid
+        half_width *= _WIDENING
 
 
 def discretized_price(
     model: StableModel, spec: OptionSpec, refine: int = 0
 ) -> PricingResult:
     """Discounted trapezoid sum of payoff times the sampled density of
-    ``default_pricing_grid(model, spec, refine)``.
+    ``default_pricing_grid(model, spec, refine)``, renormalized to unit
+    mass on the grid.
 
     The error estimate is the trapezoid's kink-cell bias plus the mass the
-    truncated grid leaked before renormalization, |1 - raw_mass| * price:
-    renormalizing spreads that mass over the grid, which biases the price
-    by about that much.  The diagnostics report ``raw_mass``, the grid's
+    truncated grid leaked, |1 - raw_mass| * price: renormalizing spreads
+    that mass over the grid, which biases the price by about that much.
+    The diagnostics report ``raw_mass``, the grid's trapezoid mass, its
     ``half_width`` in scale units and its ``widenings``.
     """
-    grid, made = _pricing_grid(model, spec, refine)
-    ys = grid.ys
+    grid = default_pricing_grid(model, spec, refine)
+    raw_mass = grid.mass()
+    scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
+    half_width = grid.y_max / scale
+    start = _PRICE_HALF_WIDTH + 6.0 * refine
+    widenings = round(math.log(half_width / start, _WIDENING))
+    values = grid.values / raw_mass
     payoff = np.maximum(
-        spec.spot * np.exp((spec.rate + model.mu) * spec.tau + ys) - spec.strike, 0.0
+        spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys) - spec.strike, 0.0
     )
     discount = math.exp(-spec.rate * spec.tau)
-    price = discount * float(np.trapezoid(payoff * grid.values, dx=grid.step))
-    kink_bias = discount * spec.strike * float(np.max(grid.values)) * grid.step**2 / 8.0
-    err = kink_bias + abs(1.0 - made["raw_mass"]) * price
+    price = discount * float(np.trapezoid(payoff * values, dx=grid.step))
+    kink_bias = discount * spec.strike * float(np.max(values)) * grid.step**2 / 8.0
+    err = kink_bias + abs(1.0 - raw_mass) * price
     diagnostics: dict[str, object] = {
-        "grid_mass": grid.mass(),
-        **made,
+        "raw_mass": raw_mass,
+        "half_width": half_width,
+        "widenings": widenings,
         "n_points": grid.n_points,
     }
     if price < 0.0:

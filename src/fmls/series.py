@@ -61,7 +61,11 @@ class SeriesTable:
 
     terms: np.ndarray  # shape (n_max+1, m_max), terms[n, m-1]
     partial_sums: np.ndarray  # shape (m_max,), cumulative over columns
-    converged_price: float
+
+    @property
+    def converged_price(self) -> float:
+        """The last partial sum: the series over the whole table."""
+        return float(self.partial_sums[-1])
 
 
 def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
@@ -133,16 +137,20 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
     """Sum rows 0..n_max of the series column by column, up to the first
     column whose terms sum under 1e-8 * K in absolute value.
 
-    That column's sum is the error estimate.  Raises
-    :class:`ConvergenceError` when column 64, the index cap, still
-    contributes that much.
+    The error estimate is that column's |terms| sum plus the |terms| of the
+    last two rows, n_max - 1 and n_max, over the columns used: the column
+    tail and the row tail.  Two rows, because at alpha = 2 every other term
+    of a column is an exact zero.  Raises :class:`ConvergenceError` when
+    column 64, the index cap, still contributes that much.
     """
     tail_tol = _TAIL_REL * spec.strike
     base = -log_moneyness(spec) - model.mu * spec.tau
 
-    for columns_used, (_, total, col_abs) in enumerate(
+    rows_abs = 0.0
+    for columns_used, (terms, total, col_abs) in enumerate(
         _columns(model, spec, n_max, _INDEX_CAP), start=1
     ):
+        rows_abs += sum(abs(t) for t in terms[-2:])
         if col_abs < tail_tol:
             break
     else:
@@ -154,6 +162,7 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
     diagnostics: dict[str, object] = {
         "columns_used": columns_used,
         "last_column_abs": col_abs,
+        "last_rows_abs": rows_abs,
     }
     if base <= 0.0:
         # Outside the regime the contour derivation assumes; the power base
@@ -167,7 +176,7 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
         price=price,
         engine="series",
         terms_used=columns_used * (n_max + 1),
-        error_estimate=col_abs,
+        error_estimate=col_abs + rows_abs,
         diagnostics=diagnostics,
     )
 
@@ -186,7 +195,6 @@ def convergence_table(
     return SeriesTable(
         terms=np.column_stack(columns),
         partial_sums=np.array(totals),
-        converged_price=totals[-1],
     )
 
 

@@ -27,11 +27,7 @@ from paper_checks import atmf_bs_series, bs_atmf_price, cahen_mellin_exp
 
 from fmls.bs import bs_price
 from fmls.charfn import char_fn, gil_pelaez_price
-from fmls.greens import (
-    discretized_price,
-    stable_density,
-    stable_density_values,
-)
+from fmls.greens import discretized_price, stable_density_values
 from fmls.model import OptionSpec, StableModel, martingale_drift
 from fmls.series import (
     convergence_table,
@@ -152,7 +148,7 @@ def test_criterion_5_quadrature_soundness():
         assert float(np.max(np.abs(got - heat))) <= 1e-8
 
         probes = [
-            stable_density(0.5, 1.7, c1=c1) for c1 in (0.3, 0.5, 0.7)
+            stable_density_values(0.5, 1.7, c1=c1) for c1 in (0.3, 0.5, 0.7)
         ]
         assert max(probes) - min(probes) <= 1e-8
 

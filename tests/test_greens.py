@@ -11,15 +11,15 @@ from scipy.integrate import quad
 from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
 from paper_checks import cahen_mellin_exp
 
+from fmls import greens
 from fmls.charfn import gil_pelaez_price
 from fmls.errors import QuadratureError
 from fmls.greens import (
-    BoundaryMassWarning,
     DensityGrid,
     build_density_grid,
     default_pricing_grid,
     discretized_price,
-    stable_density,
+    leaking_edge,
     stable_density_values,
 )
 from fmls.model import OptionSpec, StableModel, martingale_drift
@@ -89,7 +89,7 @@ class TestStableDensity:
         # Any abscissa in the strip -alpha < c1 < 1, t = 0 included.
         for x in (0.5, -0.5):
             values = [
-                stable_density(x, 1.7, c1=c1)
+                stable_density_values(x, 1.7, c1=c1)
                 for c1 in (0.3, 0.5, 0.7, 0.0, -0.5, -1.2)
             ]
             assert max(values) - min(values) <= 1e-8
@@ -121,12 +121,12 @@ class TestStableDensity:
             assert float(np.max(np.abs(default - half))) <= 1e-9
 
     def test_against_fourier_oracle(self):
-        assert stable_density(0.5, 1.7) == pytest.approx(G17_AT_HALF, abs=1e-6)
-        assert stable_density(-0.5, 1.7) == pytest.approx(G17_AT_MINUS_HALF, abs=1e-6)
-        assert stable_density(2.0, 1.7) == pytest.approx(G17_AT_TWO, abs=1e-6)
+        assert stable_density_values(0.5, 1.7) == pytest.approx(G17_AT_HALF, abs=1e-6)
+        assert stable_density_values(-0.5, 1.7) == pytest.approx(G17_AT_MINUS_HALF, abs=1e-6)
+        assert stable_density_values(2.0, 1.7) == pytest.approx(G17_AT_TWO, abs=1e-6)
         for x in (-3.0, -1.0, 0.25, 1.5):
             for alpha in (1.5, 1.9):
-                assert stable_density(x, alpha) == pytest.approx(
+                assert stable_density_values(x, alpha) == pytest.approx(
                     fourier_density_oracle(x, alpha), abs=1e-6
                 ), f"x={x}, alpha={alpha}"
 
@@ -142,28 +142,28 @@ class TestStableDensity:
 
     def test_zero_is_positive_branch_limit(self):
         for alpha in (1.5, 1.7, 2.0):
-            v0 = stable_density(0.0, alpha)
-            assert v0 == pytest.approx(stable_density(1e-7, alpha), rel=1e-5)
+            v0 = stable_density_values(0.0, alpha)
+            assert v0 == pytest.approx(stable_density_values(1e-7, alpha), rel=1e-5)
 
     def test_truncation_error(self):
         with pytest.raises(QuadratureError, match="too close to 1"):
-            stable_density(0.5, 1.02)
+            stable_density_values(0.5, 1.02)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            stable_density(0.5, 1.0)
+            stable_density_values(0.5, 1.0)
         with pytest.raises(ValueError):
-            stable_density(0.5, 1.7, c1=1.5)
+            stable_density_values(0.5, 1.7, c1=1.5)
         # The contour must stay inside the strip -alpha < c1 < 1.
         for c1 in (-1.7, 1.0):
             with pytest.raises(ValueError, match="c1"):
-                stable_density(0.5, 1.7, c1=c1)
+                stable_density_values(0.5, 1.7, c1=c1)
 
     def test_non_finite_points(self):
         # Rejected up front: no quadrature runs, so no warning and no halving.
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                stable_density(x, 1.7)
+                stable_density_values(x, 1.7)
         with pytest.raises(ValueError, match="finite"):
             stable_density_values(np.array([0.5, math.nan, -0.5]), 1.7)
 
@@ -189,16 +189,15 @@ class TestDensityGrid:
         )
         assert abs(wide.mass() - 1.0) <= 1e-4
 
-    def test_boundary_warning_fires_at_low_alpha(self):
+    def test_edge_leaks_at_low_alpha(self):
         mu = martingale_drift(0.2, 1.5)
-        with pytest.warns(BoundaryMassWarning):
-            build_density_grid(1.5, mu, 1.0, n_points=501)
+        grid = build_density_grid(1.5, mu, 1.0, n_points=501)
+        assert leaking_edge(grid, 1.5, mu, 1.0) > greens.DEFAULT_BOUNDARY_TOL
 
-    def test_no_warning_at_higher_alpha(self):
+    def test_edge_holds_at_higher_alpha(self):
         mu = martingale_drift(0.2, 1.7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BoundaryMassWarning)
-            build_density_grid(1.7, mu, 1.0, n_points=501)
+        grid = build_density_grid(1.7, mu, 1.0, n_points=501)
+        assert leaking_edge(grid, 1.7, mu, 1.0) is None
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -255,7 +254,24 @@ class TestDiscretizedPrice:
                 half_width = 16.5 if alpha < 1.7 else 11.0  # one widening by 1.5
                 assert grid.y_min == pytest.approx(-half_width * scale, rel=1e-12)
                 assert grid.y_max == pytest.approx(half_width * scale, rel=1e-12)
-                assert grid.mass() == pytest.approx(1.0, abs=1e-12)
+                assert leaking_edge(grid, alpha, m.mu, s.tau) is None
+
+    def test_prices_on_the_module_default_pricing_grid(self, monkeypatch):
+        # A caller that rebinds the module global, as a tracer does, sees
+        # every grid the pricer prices on.
+        calls = []
+        original = greens.default_pricing_grid
+
+        def counting(model, spec, refine=0):
+            calls.append(refine)
+            return original(model, spec, refine)
+
+        monkeypatch.setattr(greens, "default_pricing_grid", counting)
+        s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+        m = StableModel.from_spec(s, 1.5)
+        for refine in (0, 1):
+            discretized_price(m, s, refine)
+        assert calls == [0, 1]
 
     def test_refine_outside_zero_to_six_raises(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
@@ -272,7 +288,7 @@ class TestDiscretizedPrice:
         r = discretized_price(m, s)
         assert r.engine == "discretization"
         assert r.terms_used == 141
-        assert r.diagnostics["grid_mass"] == pytest.approx(1.0, abs=1e-12)
+        assert set(r.diagnostics) == {"raw_mass", "half_width", "widenings", "n_points"}
         assert r.error_estimate >= 0.0
 
     def test_error_estimate_bounds_the_gap_to_fourier_inversion(self):
@@ -303,10 +319,8 @@ class TestDiscretizedPrice:
         s = OptionSpec(spot=4200, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
         m = StableModel.from_spec(s, 1.7)
         grid = default_pricing_grid(m, s)
-        raw = build_density_grid(
-            m.alpha, m.mu, s.tau, grid.y_min, grid.y_max, grid.n_points, boundary_tol=math.inf
-        )
+        raw = build_density_grid(m.alpha, m.mu, s.tau, grid.y_min, grid.y_max, grid.n_points)
+        np.testing.assert_array_equal(grid.values, raw.values)
         r = discretized_price(m, s)
         assert r.diagnostics["raw_mass"] == raw.mass()
         assert 0.99 < raw.mass() < 0.999
-        assert r.diagnostics["grid_mass"] == grid.mass()

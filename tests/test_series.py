@@ -217,15 +217,35 @@ class TestPriceSeries:
         assert r.price == pytest.approx(502.53, abs=0.01)
 
     # Long-dated alpha = 2 contracts whose columns settle past column 32.
+    # The last settles at column 62, 1.3e-4 off with its 25 rows: only the
+    # row tail in the estimate covers that.
     @pytest.mark.parametrize(
         "spot, sigma, tau",
-        [(100.0, 0.8, 10.0), (100.0, 1.0, 5.0), (120.0, 0.9, 8.0), (80.0, 0.8, 10.0)],
+        [
+            (100.0, 0.8, 10.0),
+            (100.0, 1.0, 5.0),
+            (120.0, 0.9, 8.0),
+            (80.0, 0.8, 10.0),
+            (64.13533370941877, 1.035318231744134, 8.611008305294483),
+        ],
     )
     def test_columns_grow_until_they_settle(self, spot, sigma, tau):
         s = OptionSpec(spot=spot, strike=100.0, rate=0.01, sigma=sigma, tau=tau)
         r = price_series(StableModel.from_spec(s, 2.0), s)
         assert r.diagnostics["columns_used"] > 32
         assert abs(r.price - bs_price(s)) <= r.error_estimate
+
+    def test_error_estimate_adds_the_last_two_rows(self):
+        s = spec_otm()
+        m = StableModel.from_spec(s, 1.7)
+        for n_max in (0, 1, 8):  # n_max = 0 has one row
+            r = price_series(m, s, n_max)
+            d = r.diagnostics
+            rows = range(max(n_max - 1, 0), n_max + 1)
+            columns = range(1, d["columns_used"] + 1)
+            want = sum(abs(series_term(m, s, n, c)) for n in rows for c in columns)
+            assert d["last_rows_abs"] == pytest.approx(want, rel=1e-12)
+            assert r.error_estimate == d["last_column_abs"] + d["last_rows_abs"]
 
     def test_nonconvergence_raises(self):
         s = OptionSpec(spot=100.0, strike=100.0, rate=0.01, sigma=1.5, tau=10.0)
