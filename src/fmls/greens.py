@@ -24,12 +24,15 @@ the ratio falls below 1e-18, extrapolating its decay so that it evaluates
 only a few nodes past that point; the contour is truncated there.  The step
 is then halved until the result settles, by nested refinement: each halving
 evaluates the ratio only at the new odd nodes and reuses the previous
-level's sum.  Within one density call both branches share the log-Gamma
-difference of each node, so every contour node costs one log-Gamma
-difference.  The oscillatory sum is taken in real arithmetic, by angle
-addition over blocks of evenly spaced nodes: cosines and sines of about
-2*sqrt(N) phases per point instead of N.  Gamma ratios are assembled in log
-space (direct products overflow for moderate |y|).
+level's sum.  Both branches share the log-Gamma difference of each node,
+and each branch keeps the ratios of its levels, in a contour dict keyed by
+(alpha, c1).  One pricing call hands one dict to every grid it builds, so a
+widened grid evaluates no level a narrower one has: every contour node
+costs one log-Gamma difference per pricing call.  The oscillatory sum is
+taken in real arithmetic, by angle addition over blocks of evenly spaced
+nodes: cosines and sines of about 2*sqrt(N) phases per point instead of N.
+Gamma ratios are assembled in log space (direct products overflow for
+moderate |y|).
 """
 
 from __future__ import annotations
@@ -132,6 +135,31 @@ def _shared_log_ratio(alpha: float, c1: float):
     return log_ratio
 
 
+class _Contour:
+    """The contour t = c1 + i*y of one (alpha, c1): each branch's ratio on
+    one shared log-Gamma cache, and the levels each branch has evaluated.
+
+    ``levels[negative]`` is the list :func:`_half_line_transform` reads and
+    extends: the weighted first level, then each halving's odd nodes.
+    """
+
+    def __init__(self, alpha: float, c1: float) -> None:
+        log_ratio = _shared_log_ratio(alpha, c1)
+        self.ratio = {
+            negative: lambda ys, negative=negative: _line_ratio(
+                ys, alpha, c1, negative, log_ratio
+            )
+            for negative in (False, True)
+        }
+        self.levels: dict[bool, list[np.ndarray]] = {False: [], True: []}
+
+    def first_level(self, negative: bool) -> np.ndarray:
+        levels = self.levels[negative]
+        if not levels:
+            levels.append(_first_level(self.ratio[negative]))
+        return levels[0]
+
+
 def _phase_sum(
     log_x: np.ndarray, y0: float, dy: float, coeffs: np.ndarray
 ) -> np.ndarray:
@@ -218,7 +246,7 @@ def _half_line_transform(
     log_x: np.ndarray,
     ratio_fn,
     prefactor: np.ndarray | float,
-    first: np.ndarray | None = None,
+    levels: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate prefactor * int_0^inf Re[ratio(y) * e^{i*y*log_x}] dy for a
     vector of log_x, by nested trapezoid refinement along the contour.
@@ -230,10 +258,13 @@ def _half_line_transform(
     final (output) units.  Every ``ys`` passed to ``ratio_fn`` is an
     arithmetic run y0 + k*dy.
 
-    The first level is :func:`_first_level` of ``ratio_fn``, or ``first``
-    when the caller has made it already.  Each halving evaluates
-    ``ratio_fn`` only at the new odd nodes and updates T(h/2) = T(h)/2 +
-    (h/2) * sum over the odd nodes, so every contour node is evaluated once.
+    ``levels`` lists the ratios of the levels evaluated so far: the first,
+    from :func:`_first_level` of ``ratio_fn``, weighted, then each halving's
+    odd nodes.  The transform reads those and appends each level it has to
+    evaluate, so transforms that share the list evaluate each level once.
+    Each halving takes ``ratio_fn`` only at the new odd nodes and updates
+    T(h/2) = T(h)/2 + (h/2) * sum over the odd nodes, so every contour node
+    is evaluated once.
     Each level's phase sum is taken by angle addition (:func:`_phase_sum`).
     The step is halved until the result moves by less than 1e-11 (or than
     its roundoff floor, which must then stay under 1e-11 or 1e-9 of the
@@ -242,7 +273,10 @@ def _half_line_transform(
     the density's default contour (d = (1 + alpha)/2) the first halving
     confirms the h = 0.25 level, where c1 = 0.5 (d = 0.5) takes two.
     """
-    weighted = _first_level(ratio_fn) if first is None else first
+    levels = [] if levels is None else levels
+    if not levels:
+        levels.append(_first_level(ratio_fn))
+    weighted = levels[0]
     n = weighted.size - 1
     h = _H_START
     total = _phase_sum(log_x, 0.0, h, weighted)
@@ -250,9 +284,11 @@ def _half_line_transform(
     # amplified) sum; convergence below it cannot be demanded.
     abs_total = float(np.sum(np.abs(weighted)))
     current = prefactor * total
-    for _ in range(_MAX_HALVINGS):
+    for halving in range(1, _MAX_HALVINGS + 1):
         h *= 0.5
-        ratio = ratio_fn(h * np.arange(1, 2 * n, 2))
+        if halving == len(levels):
+            levels.append(ratio_fn(h * np.arange(1, 2 * n, 2)))
+        ratio = levels[halving]
         total = 0.5 * total + h * _phase_sum(log_x, h, 2.0 * h, ratio)
         abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
         n *= 2
@@ -272,7 +308,11 @@ def _half_line_transform(
 
 
 def stable_density_values(
-    x: np.ndarray, alpha: float, c1: float | None = None
+    x: np.ndarray,
+    alpha: float,
+    c1: float | None = None,
+    *,
+    contours: dict[tuple[float, float], _Contour] | None = None,
 ) -> np.ndarray:
     """Vectorized density of the scaled log return at the points ``x``; a
     scalar ``x`` gives a scalar.
@@ -288,6 +328,11 @@ def stable_density_values(
     expansion gives in closed form: g(0) = (1/alpha) / Gamma(1 - 1/alpha)
     (equal to 1/(2 sqrt(pi)) in the Gaussian case).  A non-finite point
     raises ``ValueError``.
+
+    ``contours`` holds the contour data, keyed by (alpha, c1): log-Gamma
+    differences, branch ratios and their levels.  Calls handed the same
+    dict evaluate each contour node once between them.  ``None`` gives the
+    call a fresh dict.
     """
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
@@ -304,19 +349,19 @@ def stable_density_values(
     # there, while the contour integrand's oscillation diverges like log|X|.
     near_zero = np.abs(flat) <= 1e-8
     out[near_zero] = reciprocal_gamma(1.0 - 1.0 / alpha) / alpha
-    log_ratios = {}  # per abscissa, shared by both branches
+    contours = {} if contours is None else contours
 
-    def ratio_fn(c: float, negative: bool):
-        if c not in log_ratios:
-            log_ratios[c] = _shared_log_ratio(alpha, c)
-        return lambda ys: _line_ratio(ys, alpha, c, negative, log_ratios[c])
+    def contour(c: float) -> _Contour:
+        if (alpha, c) not in contours:
+            contours[alpha, c] = _Contour(alpha, c)
+        return contours[alpha, c]
 
     for negative in (False, True):
         mask = ((flat < 0.0) if negative else (flat > 0.0)) & ~near_zero
         if not np.any(mask):
             continue
         ax = np.abs(flat[mask])
-        first = _first_level(ratio_fn(c1, negative))
+        first = contour(c1).first_level(negative)
         split = 0.0
         if default:
             # The default contour's roundoff floor, _ROUNDOFF * |X|^(c1-1) /
@@ -325,14 +370,14 @@ def stable_density_values(
             split = (floor_at_one / _STEP_TOL) ** (1.0 / (1.0 - c1))
         small = ax < split
         values = np.empty(ax.size)
-        for part, c, level in ((~small, c1, first), (small, _SMALL_X_C1, None)):
+        for part, c in ((~small, c1), (small, _SMALL_X_C1)):
             if np.any(part):
                 values[part] = _half_line_transform(
                     np.log(ax[part]),
-                    ratio_fn(c, negative),
+                    contour(c).ratio[negative],
                     # The x-power X^{t-1} carries the real factor |X|^{c-1}.
                     prefactor=ax[part] ** (c - 1.0) / (alpha * math.pi),
-                    first=level,
+                    levels=contour(c).levels[negative],
                 )
         out[mask] = values
     bad = out < _NEGATIVITY_TOL
@@ -397,13 +442,16 @@ def build_density_grid(
     y_max: float | None = None,
     n_points: int = 4001,
     c1: float | None = None,
+    *,
+    contours: dict[tuple[float, float], _Contour] | None = None,
 ) -> DensityGrid:
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
     Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
     of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
-    default.  The values are not renormalized; :func:`leaking_edge` tells
-    whether the bounds cut off visible tail mass.
+    default, and ``contours`` is its contour dict.  The values are not
+    renormalized; :func:`leaking_edge` tells whether the bounds cut off
+    visible tail mass.
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
@@ -417,7 +465,7 @@ def build_density_grid(
     if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
         raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
     ys = np.linspace(y_min, y_max, n_points)
-    values = stable_density_values(ys / scale, alpha, c1) / scale
+    values = stable_density_values(ys / scale, alpha, c1, contours=contours) / scale
     return DensityGrid(y_min=float(y_min), y_max=float(y_max), n_points=n_points, values=values)
 
 
@@ -440,13 +488,17 @@ def default_pricing_grid(
     interval count per level; increasing levels drive the discrete sum
     toward the series price.  While :func:`leaking_edge` finds the edge
     leaking, the half-width grows by 1.5, up to three times.  The samples
-    are those of :func:`build_density_grid`, not renormalized.
+    are those of :func:`build_density_grid`, not renormalized.  Every build
+    of one call reads one contour dict, so a widened build evaluates no
+    contour node, branch ratio or first level again and pays only for its
+    phase sums; the dict is dropped when the call returns.
     """
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
+    contours: dict[tuple[float, float], _Contour] = {}
     for widenings in range(4):
         grid = build_density_grid(
             model.alpha,
@@ -455,6 +507,7 @@ def default_pricing_grid(
             y_min=-half_width * scale,
             y_max=half_width * scale,
             n_points=n_points,
+            contours=contours,
         )
         if widenings == 3 or leaking_edge(grid, model.alpha, model.mu, spec.tau) is None:
             return grid

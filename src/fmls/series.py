@@ -141,7 +141,9 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
     last two rows, n_max - 1 and n_max, over the columns used: the column
     tail and the row tail.  Two rows, because at alpha = 2 every other term
     of a column is an exact zero.  Raises :class:`ConvergenceError` when
-    column 64, the index cap, still contributes that much.
+    column 64, the index cap, still contributes that much, and when the
+    price less its error estimate lies above the spot: a call is worth at
+    most S, so only truncated rows put the whole reported interval there.
     """
     tail_tol = _TAIL_REL * spec.strike
     base = -log_moneyness(spec) - model.mu * spec.tau
@@ -157,6 +159,12 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
         raise ConvergenceError(
             f"column {_INDEX_CAP} still contributes {col_abs:.3e} "
             f"(tolerance {tail_tol:.3e})"
+        )
+    err = col_abs + rows_abs
+    if total - err > spec.spot:
+        raise ConvergenceError(
+            f"series price {total:.6g} less its error estimate {err:.3e} lies "
+            f"above the spot {spec.spot:.6g}: the rows are truncated"
         )
 
     diagnostics: dict[str, object] = {
@@ -176,7 +184,7 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
         price=price,
         engine="series",
         terms_used=columns_used * (n_max + 1),
-        error_estimate=col_abs + rows_abs,
+        error_estimate=err,
         diagnostics=diagnostics,
     )
 
@@ -266,9 +274,10 @@ def implied_vol(
 
     ``tol`` bounds the repriced value: the returned sigma has
     |series price - target| <= tol, in currency.  A :class:`NumericalError`
-    from a reprice counts as sigma above the root, because the series leaves
-    the representable range only for large sigma, where the price exceeds
-    any admissible target.  Raises :class:`ConvergenceError` once the
+    from a reprice counts as sigma above the root: the series raises when it
+    leaves the representable range, which happens only at large sigma, and
+    when its price lies above the spot; either way the price exceeds any
+    admissible target.  Raises :class:`ConvergenceError` once the
     midpoint of the bracket equals one of its ends with no sigma within
     ``tol``: the series price jumps there.  The target must respect the
     no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.

@@ -160,6 +160,37 @@ def test_both_branches_share_each_contour_node(monkeypatch):
     assert np.unique(points).size == points.size
 
 
+def test_a_widened_price_evaluates_each_contour_node_once(monkeypatch):
+    # At alpha = 1.5 the default grid's edge leaks, so the price builds a
+    # second, wider grid; it reads the first build's contour.
+    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+    model = StableModel.from_spec(spec, 1.5)
+    args = []
+    builds = []
+    build = greens.build_density_grid
+
+    def recording(z):
+        args.append(np.array(z))
+        return _loggamma_vec(z)
+
+    def counting(*a, **kw):
+        builds.append((a, {k: v for k, v in kw.items() if k != "contours"}))
+        return build(*a, **kw)
+
+    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    monkeypatch.setattr(greens, "build_density_grid", counting)
+    greens.discretized_price(model, spec)
+    assert len(builds) == 2
+    points = np.concatenate(args)
+    assert np.unique(points).size == points.size
+    # Here the wider grid needs no node the first did not: the price costs
+    # the log-Gamma points of one fresh build at the final bounds.
+    args.clear()
+    a, kw = builds[-1]
+    build(*a, **kw)
+    assert np.concatenate(args).size == points.size
+
+
 @pytest.mark.parametrize("alpha", [1.5, 1.7])
 def test_branches_with_different_cutoffs_share_each_node(monkeypatch, alpha):
     # Below alpha = 2 the X < 0 ratio decays faster: each of its calls asks

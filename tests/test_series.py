@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from golden import (
     COMPARISON_ALPHAS,
@@ -269,6 +269,50 @@ class TestPriceSeries:
         assert r.diagnostics["negative_sum_floored"] is True
         table = convergence_table(m, s, 24, r.diagnostics["columns_used"])
         assert table.converged_price == pytest.approx(-8.51, abs=0.005)
+
+    # Three short-dated low-alpha oracle_sweep contracts at K = 100 whose
+    # rows still grow at row 24: the truncated sums are 1e20 to 2e38.
+    @pytest.mark.parametrize(
+        "spot, sigma, tau, alpha",
+        [
+            (88.1026454269886, 0.06855454824824014, 0.002109118706490731, 1.419824171345681),
+            (58.843590039759874, 1.232509154960295, 0.002535272158776351, 1.1398276095278561),
+            (76.91155415959656, 0.6080063585208437, 0.006829191262709788, 1.1424290153197945),
+        ],
+    )
+    def test_a_price_above_the_spot_beyond_its_estimate_raises(self, spot, sigma, tau, alpha):
+        s = OptionSpec(spot=spot, strike=100.0, rate=0.01, sigma=sigma, tau=tau)
+        with pytest.raises(ConvergenceError, match="above the spot"):
+            price_series(StableModel.from_spec(s, alpha), s)
+
+    # The oracle-sweep box, as above: a call is worth at most S, so the
+    # interval a returned price reports must reach down to the spot.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        moneyness=st.floats(0.5, 3.0),
+        log_tau=st.floats(math.log(0.002), math.log(10.0)),
+        log_sigma=st.floats(math.log(0.05), math.log(1.5)),
+        alpha=st.floats(1.1, 2.0, exclude_min=True),
+    )
+    @example(
+        moneyness=0.881026454269886,
+        log_tau=math.log(0.002109118706490731),
+        log_sigma=math.log(0.06855454824824014),
+        alpha=1.419824171345681,
+    )
+    def test_returned_interval_reaches_below_the_spot(self, moneyness, log_tau, log_sigma, alpha):
+        s = OptionSpec(
+            spot=100.0 * moneyness,
+            strike=100.0,
+            rate=0.01,
+            sigma=math.exp(log_sigma),
+            tau=math.exp(log_tau),
+        )
+        try:
+            result = price_series(StableModel.from_spec(s, alpha), s)
+        except NumericalError:
+            return
+        assert result.price - result.error_estimate <= s.spot
 
     def test_no_arbitrage_bounds(self):
         for spot in np.linspace(60, 160, 11):
