@@ -21,18 +21,23 @@ from the nearest singularity (Trefethen & Weideman, SIAM Review 2014).  The
 default contour therefore runs down the middle of the strip, c1 =
 (1 - alpha)/2, where d = (1 + alpha)/2.  A probe at step 0.25 finds where
 the ratio falls below 1e-18, extrapolating its decay so that it evaluates
-only a few nodes past that point; the contour is truncated there.  The step
-is then halved until the result settles, by nested refinement: each halving
+only a few nodes past that point; the contour is truncated there, and the
+probe's own nodes show that the ratio has decayed by y = 400.  The step is
+then halved until the result settles, by nested refinement: each halving
 evaluates the ratio only at the new odd nodes and reuses the previous
 level's sum.  Both branches share the log-Gamma difference of each node,
 and each branch keeps the ratios of its levels, in a contour dict keyed by
 (alpha, c1).  One pricing call hands one dict to every grid it builds, so a
 widened grid evaluates no level a narrower one has: every contour node
-costs one log-Gamma difference per pricing call.  The oscillatory sum is
-taken in real arithmetic, by angle addition over blocks of evenly spaced
-nodes: cosines and sines of about 2*sqrt(N) phases per point instead of N.
-Gamma ratios are assembled in log space (direct products overflow for
-moderate |y|).
+costs one log-Gamma difference per pricing call.  Each run of new nodes
+costs one call to each kernel: one log-Gamma call takes 1 - t and
+1 - t/alpha together, one log-sine call rho*t and t/alpha.  A paper price
+makes three runs: the probe's first 32 nodes, its extrapolated run and the
+one halving.  The oscillatory sum is taken in real arithmetic, by angle
+addition over blocks of evenly spaced nodes: cosines and sines of about
+2*sqrt(N) phases per point instead of N; the first level and the first
+halving share one set of tables.  Gamma ratios are assembled in log space
+(direct products overflow for moderate |y|).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ _TAIL_TOL = 1e-12  # ratio magnitude still allowed at _Y_MAX
 _ROUNDOFF = 8e-16  # roundoff floor of a sum, per unit of its absolute sum
 _FLOOR_SHARE = 1e-9  # largest roundoff floor accepted, relative to the result
 _NEGATIVITY_TOL = -1e-8
+_NEAR_ZERO = 1e-8  # density points this close to 0 take the closed-form g(0)
 _CHUNK = 512
 
 # Defaults of the convolution pricer: half-width 11 scale units, 140
@@ -95,8 +101,9 @@ def _line_ratio(
         rho = (alpha - 1.0) / alpha
         axis = ys == 0.0
         t = c1 + 1j * ys[~axis]
+        sines = _log_sinpi_vec(np.concatenate([rho * t, t / alpha]))
         lg = lg.copy()
-        lg[~axis] += _log_sinpi_vec(rho * t) - _log_sinpi_vec(t / alpha)
+        lg[~axis] += sines[: t.size] - sines[t.size :]
         lg[axis] += math.log((alpha - 1.0) * np.sinc(rho * c1) / np.sinc(c1 / alpha))
     return np.exp(lg)
 
@@ -116,7 +123,8 @@ def _shared_log_ratio(alpha: float, c1: float):
 
     def fresh(ys: np.ndarray) -> np.ndarray:
         t = c1 + 1j * ys
-        return _loggamma_vec(1.0 - t) - _loggamma_vec(1.0 - t / alpha)
+        both = _loggamma_vec(np.concatenate([1.0 - t, 1.0 - t / alpha]))
+        return both[: ys.size] - both[ys.size :]
 
     def log_ratio(ys: np.ndarray) -> np.ndarray:
         y0 = float(ys[0])
@@ -141,9 +149,11 @@ class _Contour:
 
     ``levels[negative]`` is the list :func:`_half_line_transform` reads and
     extends: the weighted first level, then each halving's odd nodes.
+    :meth:`floor` bounds the roundoff of each branch's density.
     """
 
     def __init__(self, alpha: float, c1: float) -> None:
+        self.alpha, self.c1 = alpha, c1
         log_ratio = _shared_log_ratio(alpha, c1)
         self.ratio = {
             negative: lambda ys, negative=negative: _line_ratio(
@@ -152,6 +162,8 @@ class _Contour:
             for negative in (False, True)
         }
         self.levels: dict[bool, list[np.ndarray]] = {False: [], True: []}
+        # Per branch: sum |first level| and sum |first level| * y.
+        self.abs_sums: dict[bool, tuple[float, float]] = {}
 
     def first_level(self, negative: bool) -> np.ndarray:
         levels = self.levels[negative]
@@ -159,30 +171,49 @@ class _Contour:
             levels.append(_first_level(self.ratio[negative]))
         return levels[0]
 
+    def floor(self, negative: bool, ax: np.ndarray | float) -> np.ndarray | float:
+        """Roundoff floor of the branch's density at |X| = ``ax``:
+        _ROUNDOFF * |X|^(c1-1) / (alpha*pi) times sum |w_k ratio_k| *
+        (1 + y_k |log X|) over the first level.  The 1 is the floor
+        :func:`_half_line_transform` holds its sum to; y_k |log X| counts
+        the roundoff of node k's phase, which grows with the phase."""
+        if negative not in self.abs_sums:
+            first = np.abs(self.first_level(negative))
+            moment = float(np.dot(first, _H_START * np.arange(first.size)))
+            self.abs_sums[negative] = float(np.sum(first)), moment
+        total, moment = self.abs_sums[negative]
+        total = total + np.abs(np.log(ax)) * moment
+        return _ROUNDOFF * total / (self.alpha * math.pi) * ax ** (self.c1 - 1.0)
+
 
 def _phase_sum(
-    log_x: np.ndarray, y0: float, dy: float, coeffs: np.ndarray
+    log_x: np.ndarray, dy: float, runs: list[tuple[float, np.ndarray]]
 ) -> np.ndarray:
-    """Re sum_k coeffs_k * e^{i*(y0 + k*dy)*log_x} for each entry of ``log_x``.
+    """Re sum_k coeffs_k * e^{i*(y0 + k*dy)*log_x} for each entry of
+    ``log_x`` and each (y0, coeffs) run: shape (log_x.size, len(runs)).
 
     Summed by angle addition.  Node k = b*width + j, with width about
-    sqrt(N) for N nodes, has the phase (y0 + b*width*dy)*log_x, a block
-    start, plus j*dy*log_x, an in-block offset.  Per point, cos and sin are
-    taken on the width offsets and the N/width block starts, not on all N
+    sqrt(N) for the longest run's N nodes, has the phase
+    (y0 + b*width*dy)*log_x, a block start, plus j*dy*log_x, an in-block
+    offset.  Per point, cos and sin are taken on the width offsets, which
+    all runs share, and on each run's N/width block starts, not on all N
     phases.  Four real matmuls sum each block's coefficients against the
     offsets, and the block starts rotate those partial sums.  Points go in
     chunks of ``_CHUNK``, so the temporaries stay bounded.
     """
-    size = coeffs.size
+    size = max(coeffs.size for _, coeffs in runs)
     width = math.isqrt(size - 1) + 1  # ceil(sqrt(size))
     count = -(-size // width)
-    padded = np.zeros(width * count, dtype=complex)
-    padded[:size] = coeffs
-    re = np.ascontiguousarray(padded.real.reshape(count, width).T)
-    im = np.ascontiguousarray(padded.imag.reshape(count, width).T)
+    padded = np.zeros((len(runs), width * count), dtype=complex)
+    for row, (_, coeffs) in zip(padded, runs):
+        row[: coeffs.size] = coeffs
+    # Column r*count + b holds block b of run r.
+    blocks = padded.reshape(len(runs) * count, width).T
+    re, im = np.ascontiguousarray(blocks.real), np.ascontiguousarray(blocks.imag)
     offsets = dy * np.arange(width)
-    starts = y0 + dy * (width * np.arange(count))  # the nodes k = b*width
-    out = np.empty(log_x.size)
+    # The nodes k = b*width of every run.
+    starts = np.concatenate([y0 + dy * (width * np.arange(count)) for y0, _ in runs])
+    out = np.empty((log_x.size, len(runs)))
     for lo in range(0, log_x.size, _CHUNK):
         part = log_x[lo : lo + _CHUNK, None]
         inner = part * offsets
@@ -190,9 +221,8 @@ def _phase_sum(
         block_re = cos_in @ re - sin_in @ im
         block_im = sin_in @ re + cos_in @ im
         outer = part * starts
-        out[lo : lo + _CHUNK] = np.sum(
-            np.cos(outer) * block_re - np.sin(outer) * block_im, axis=1
-        )
+        rotated = np.cos(outer) * block_re - np.sin(outer) * block_im
+        out[lo : lo + _CHUNK] = rotated.reshape(-1, len(runs), count).sum(axis=2)
     return out
 
 
@@ -200,20 +230,16 @@ def _first_level(ratio_fn) -> np.ndarray:
     """The weighted nodes of the h = 0.25 trapezoid level: the contour from
     y = 0 to one node past the last one whose ratio is at least 1e-18.
 
-    The ratio must have decayed below 1e-12 at y = 400, which is checked on
-    that one node.  The probe then evaluates ``_PROBE_START`` nodes and,
-    while the ratio is still above the cutoff, extends the run to where the
-    log-magnitude decay of its last 8 nodes, extrapolated, reaches the
-    cutoff; it stops once ``_PROBE_PAD`` nodes past the last one above it
-    are known, so it evaluates a few nodes past the cutoff, each once.  When the cutoff lies
-    past y = 400, one padding node at y_eff = 400.25 ends the level.
+    The probe evaluates ``_PROBE_START`` nodes and, while the ratio is still
+    above the cutoff, extends the run to where the log-magnitude decay of
+    its last 8 nodes, extrapolated, reaches the cutoff; it stops once
+    ``_PROBE_PAD`` nodes past the last one above it are known, so it
+    evaluates a few nodes past the cutoff, each once.  The ratio must have
+    decayed below 1e-12 at y = 400: a probe that stops short of y = 400 has
+    seen it fall below the cutoff, and one that reaches y = 400 checks its
+    own last node, so the guard takes no node of its own.  When the cutoff
+    lies past y = 400, one padding node at y_eff = 400.25 ends the level.
     """
-    tail = float(np.abs(ratio_fn(np.array([_Y_MAX]))[0]))
-    if tail > _TAIL_TOL:
-        raise QuadratureError(
-            f"contour integrand still {tail:.3e} at y = {_Y_MAX:g}: it has "
-            "not decayed because alpha is too close to 1"
-        )
     probe_size = int(_Y_MAX / _H_START) + 1
     mags = np.empty(0)
     values = []
@@ -234,6 +260,11 @@ def _first_level(ratio_fn) -> np.ndarray:
             ahead = math.log(_RATIO_CUTOFF / mags[-1]) / slope if slope < 0 else n
             stop += math.ceil(ahead)
         stop = min(stop, probe_size)
+    if mags.size == probe_size and mags[-1] > _TAIL_TOL:
+        raise QuadratureError(
+            f"contour integrand still {mags[-1]:.3e} at y = {_Y_MAX:g}: it has "
+            "not decayed because alpha is too close to 1"
+        )
     weighted = _H_START * np.concatenate(values)[: n + 1]
     if weighted.size <= n:  # the cutoff lies past the probe's last node
         weighted = np.append(weighted, _H_START * ratio_fn(np.array([n * _H_START])))
@@ -279,7 +310,10 @@ def _half_line_transform(
     weighted = levels[0]
     n = weighted.size - 1
     h = _H_START
-    total = _phase_sum(log_x, 0.0, h, weighted)
+    if len(levels) == 1:
+        levels.append(ratio_fn(0.5 * h * np.arange(1, 2 * n, 2)))
+    # The first level and the always-taken first halving share one phase sum.
+    total, odd = _phase_sum(log_x, h, [(0.0, weighted), (0.5 * h, levels[1])]).T
     # Trapezoid sum of |ratio|: the roundoff floor of the (possibly
     # amplified) sum; convergence below it cannot be demanded.
     abs_total = float(np.sum(np.abs(weighted)))
@@ -289,7 +323,9 @@ def _half_line_transform(
         if halving == len(levels):
             levels.append(ratio_fn(h * np.arange(1, 2 * n, 2)))
         ratio = levels[halving]
-        total = 0.5 * total + h * _phase_sum(log_x, h, 2.0 * h, ratio)
+        if halving > 1:
+            odd = _phase_sum(log_x, 2.0 * h, [(h, ratio)])[:, 0]
+        total = 0.5 * total + h * odd
         abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
         n *= 2
         refined = prefactor * total
@@ -347,7 +383,7 @@ def stable_density_values(
     out = np.empty(flat.size)
     # Points this close to zero take the limit value; the density is smooth
     # there, while the contour integrand's oscillation diverges like log|X|.
-    near_zero = np.abs(flat) <= 1e-8
+    near_zero = np.abs(flat) <= _NEAR_ZERO
     out[near_zero] = reciprocal_gamma(1.0 - 1.0 / alpha) / alpha
     contours = {} if contours is None else contours
 
@@ -361,13 +397,10 @@ def stable_density_values(
         if not np.any(mask):
             continue
         ax = np.abs(flat[mask])
-        first = contour(c1).first_level(negative)
         split = 0.0
         if default:
-            # The default contour's roundoff floor, _ROUNDOFF * |X|^(c1-1) /
-            # (alpha*pi) * sum|first|, passes the step tolerance below split.
-            floor_at_one = _ROUNDOFF * float(np.sum(np.abs(first))) / (alpha * math.pi)
-            split = (floor_at_one / _STEP_TOL) ** (1.0 / (1.0 - c1))
+            # The default contour's floor passes the step tolerance below split.
+            split = (contour(c1).floor(negative, 1.0) / _STEP_TOL) ** (1.0 / (1.0 - c1))
         small = ax < split
         values = np.empty(ax.size)
         for part, c in ((~small, c1), (small, _SMALL_X_C1)):
@@ -480,7 +513,11 @@ def leaking_edge(grid: DensityGrid, alpha: float, mu: float, tau: float) -> floa
 
 
 def default_pricing_grid(
-    model: StableModel, spec: OptionSpec, refine: int = 0
+    model: StableModel,
+    spec: OptionSpec,
+    refine: int = 0,
+    *,
+    contours: dict[tuple[float, float], _Contour] | None = None,
 ) -> DensityGrid:
     """Grid of the convolution pricer: 140 * 4**refine intervals.
 
@@ -491,14 +528,15 @@ def default_pricing_grid(
     are those of :func:`build_density_grid`, not renormalized.  Every build
     of one call reads one contour dict, so a widened build evaluates no
     contour node, branch ratio or first level again and pays only for its
-    phase sums; the dict is dropped when the call returns.
+    phase sums.  ``contours`` is that dict; ``None`` gives the call a fresh
+    one, dropped when it returns.
     """
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
-    contours: dict[tuple[float, float], _Contour] = {}
+    contours = {} if contours is None else contours
     for widenings in range(4):
         grid = build_density_grid(
             model.alpha,
@@ -519,28 +557,55 @@ def discretized_price(
 ) -> PricingResult:
     """Discounted trapezoid sum of payoff times the sampled density of
     ``default_pricing_grid(model, spec, refine)``, renormalized to unit
-    mass on the grid.
+    mass on the grid; a negative sum is floored at 0.
 
-    The error estimate is the trapezoid's kink-cell bias plus the mass the
-    truncated grid leaked, |1 - raw_mass| * price: renormalizing spreads
-    that mass over the grid, which biases the price by about that much.
+    The error estimate, taken after that floor, is the sum of
+    - the trapezoid's kink-cell bias;
+    - the grid's resolution, the gap to the same price on every other
+      sample, which an under-resolved density (alpha near 1) makes large;
+    - the mass the truncated grid leaked, |1 - raw_mass| * price:
+      renormalizing spreads that mass over the grid, which biases the price
+      by about that much;
+    - the samples' roundoff floor weighted by the payoff.  Far in the right
+      tail the sampled density is roundoff while the payoff grows like e^y.
+    A call is worth between 0 and the spot, so an estimate that is not
+    below the spot, or a price more than the estimate above it, bounds
+    nothing: those raise ``QuadratureError``.
     The diagnostics report ``raw_mass``, the grid's trapezoid mass, its
     ``half_width`` in scale units and its ``widenings``.
     """
-    grid = default_pricing_grid(model, spec, refine)
+    contours: dict[tuple[float, float], _Contour] = {}
+    grid = default_pricing_grid(model, spec, refine, contours=contours)
     raw_mass = grid.mass()
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     half_width = grid.y_max / scale
     start = _PRICE_HALF_WIDTH + 6.0 * refine
     widenings = round(math.log(half_width / start, _WIDENING))
     values = grid.values / raw_mass
-    payoff = np.maximum(
-        spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys) - spec.strike, 0.0
-    )
+    # The samples' roundoff floor on the default contour; it bounds the floor
+    # of the points near zero that keep c1 = 0.5 from above.
+    contour = contours[model.alpha, 0.5 * (1.0 - model.alpha)]
+    x = grid.ys / scale
+    floor = np.zeros(x.size)
+    for negative, side in ((False, x > _NEAR_ZERO), (True, x < -_NEAR_ZERO)):
+        floor[side] = contour.floor(negative, np.abs(x[side])) / scale
     discount = math.exp(-spec.rate * spec.tau)
-    price = discount * float(np.trapezoid(payoff * values, dx=grid.step))
+    # A grid wide enough to overflow the payoff gives a non-finite estimate,
+    # which raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        payoff = np.maximum(
+            spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys) - spec.strike,
+            0.0,
+        )
+        price = discount * float(np.trapezoid(payoff * values, dx=grid.step))
+        coarse = grid.values[::2]  # n_points is odd: every other sample, step 2h
+        coarse_price = discount * float(
+            np.trapezoid(payoff[::2] * coarse, dx=2.0 * grid.step)
+            / np.trapezoid(coarse, dx=2.0 * grid.step)
+        )
+        roundoff = discount * float(np.trapezoid(payoff * floor, dx=grid.step)) / raw_mass
     kink_bias = discount * spec.strike * float(np.max(values)) * grid.step**2 / 8.0
-    err = kink_bias + abs(1.0 - raw_mass) * price
+    resolution = abs(price - coarse_price)
     diagnostics: dict[str, object] = {
         "raw_mass": raw_mass,
         "half_width": half_width,
@@ -550,6 +615,12 @@ def discretized_price(
     if price < 0.0:
         diagnostics["negative_price_floored"] = True
         price = 0.0
+    err = kink_bias + resolution + abs(1.0 - raw_mass) * price + roundoff
+    if not err < spec.spot or price - err > spec.spot:
+        raise QuadratureError(
+            f"discretized price {price:.6g} with error estimate {err:.3e} "
+            f"bounds nothing for a call on spot {spec.spot:g}"
+        )
     return PricingResult(
         price=price,
         engine="discretization",

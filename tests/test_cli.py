@@ -112,6 +112,20 @@ class TestPriceCommand:
         assert code == 3
         assert "numerical" in err and "column 64" in err
 
+    def test_discretization_keeps_the_engine_contract(self, capsys):
+        # The grid's right edge reaches y = 50, where the sampled density is
+        # roundoff and the payoff 1e21: a price, or a numerical failure, but
+        # not the bad-input exit of a negative error estimate.
+        argv = [
+            "price", "--engine", "discretization",
+            "--spot", "103.15588229174364", "--strike", "100", "--rate", "0.01",
+            "--sigma", "0.595536397339918", "--tau", "6.6279167776279895",
+            "--alpha", "1.180600164218421",
+        ]
+        code, _, err = run_main(capsys, argv)
+        assert code in (0, 3)
+        assert "error_estimate" not in err
+
     def test_discretization_default_grid_without_warning(self, capsys):
         # argparse keeps the last --alpha, so this prices at alpha = 1.5.
         argv = PRICE_ARGS + ["--alpha", "1.5", "--engine", "discretization"]

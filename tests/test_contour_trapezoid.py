@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fmls import greens
 from fmls.errors import QuadratureError
 from fmls.model import OptionSpec, StableModel
-from fmls.special_functions import _loggamma_vec
+from fmls.special_functions import _log_sinpi_vec, _loggamma_vec
 
 
 def reference_transform(log_x, ratio_fn, prefactor):
@@ -97,15 +97,15 @@ def _counted_transform(alpha, negative, log_x):
     return sizes
 
 
-# The tail node, the probe's first 32 nodes and its one extrapolated run,
-# then each halving's new odd nodes.
+# The probe's first 32 nodes and its extrapolated runs, then each halving's
+# new odd nodes.  The decay guard at y = 400 reads the probe's own nodes.
 _NODE_CALLS = {
-    (1.5, False): [1, 32, 300, 322],
-    (1.5, True): [1, 32, 80, 107, 214],
-    (1.7, False): [1, 32, 241, 263],
-    (1.7, True): [1, 32, 115, 141],
-    (2.0, False): [1, 32, 198, 219],
-    (2.0, True): [1, 32, 198, 219],
+    (1.5, False): ([32, 300], [322]),
+    (1.5, True): ([32, 80], [107, 214]),
+    (1.7, False): ([32, 241], [263]),
+    (1.7, True): ([32, 115], [141]),
+    (2.0, False): ([32, 198], [219]),
+    (2.0, True): ([32, 198], [219]),
 }
 
 
@@ -116,68 +116,93 @@ def test_each_contour_node_is_evaluated_once(alpha, negative):
     probe = np.arange(0.0, greens._Y_MAX + greens._H_START, greens._H_START)
     mags = np.abs(greens._line_ratio(probe, alpha, 0.5 * (1.0 - alpha), negative))
     n0 = int(np.nonzero(mags >= greens._RATIO_CUTOFF)[0][-1]) + 1  # y_eff / 0.25
-    assert sizes == _NODE_CALLS[alpha, negative]
+    probe_runs, halving_runs = _NODE_CALLS[alpha, negative]
+    assert sizes == probe_runs + halving_runs
     # The probe stops a few nodes past the cutoff, and every node is new.
-    probed = sizes[1] + sizes[2]
+    probed = sum(probe_runs)
     assert n0 + greens._PROBE_PAD <= probed <= n0 + 16
-    halvings = len(sizes) - 3
-    assert halvings >= 1
-    assert sum(sizes) == 1 + probed + n0 * (2**halvings - 1)
+    assert halving_runs == [n0 * 2**k for k in range(len(halving_runs))]
+
+
+def _paper_model(alpha):
+    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+    return StableModel.from_spec(spec, alpha), spec
 
 
 def test_paper_contract_work_at_alpha_two():
-    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-    model = StableModel.from_spec(spec, 2.0)
+    model, spec = _paper_model(2.0)
     grid = greens.default_pricing_grid(model, spec)
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     x = grid.ys / scale
-    # Per branch: the tail node at y = 400, the probe's 32 + 198 nodes (219
-    # up to the cutoff and 11 past it), then 219 new odd nodes in one
-    # halving (c1 = 0.5 took 1 + 384 + 207 + 414 = 1006 over two).
+    # Per branch: the probe's 32 + 198 nodes (219 up to the cutoff and 11
+    # past it), then 219 new odd nodes in one halving (c1 = 0.5 took
+    # 384 + 207 + 414 = 1005 over two).
     for negative in (False, True):
         part = x[x < 0.0] if negative else x[x > 0.0]
         sizes = _counted_transform(2.0, negative, np.log(np.abs(part)))
-        assert sizes == [1, 32, 198, 219]
+        assert sizes == [32, 198, 219]
+
+
+def _recording(calls, kernel):
+    def record(z):
+        calls.append(np.array(z))
+        return kernel(z)
+
+    return record
 
 
 def test_both_branches_share_each_contour_node(monkeypatch):
-    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-    model = StableModel.from_spec(spec, 2.0)
+    model, spec = _paper_model(2.0)
     grid = greens.default_pricing_grid(model, spec)
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     args = []
-
-    def recording(z):
-        args.append(np.array(z))
-        return _loggamma_vec(z)
-
-    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    monkeypatch.setattr(greens, "_loggamma_vec", _recording(args, _loggamma_vec))
     greens.stable_density_values(grid.ys / scale, 2.0)
-    # log Gamma(1-t) and log Gamma(1-t/2) at the 1 + 230 + 219 nodes of one
-    # branch (above); both branches read them, and no argument repeats.
+    # One call per run of the branch above (32, 198, then 219 nodes): log
+    # Gamma(1-t) and log Gamma(1-t/2) of the run's nodes, in that order.
+    # Both branches read them, and no argument repeats.
+    assert [a.size for a in args] == [2 * 32, 2 * 198, 2 * 219]
+    for a in args:
+        one_minus_t = a[: a.size // 2]
+        np.testing.assert_array_equal(a[a.size // 2 :], 1.0 - (1.0 - one_minus_t) / 2.0)
     points = np.concatenate(args)
-    assert points.size == 2 * (1 + 230 + 219)
     assert np.unique(points).size == points.size
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.6, 1.7, 1.8, 1.9, 2.0])
+def test_one_call_per_kernel_per_contour_run_of_a_paper_price(monkeypatch, alpha):
+    # A paper price evaluates its contour in three runs, the probe's 32
+    # nodes, its extrapolated run and the one halving, and each run costs
+    # one log-Gamma call and one log-sine call.  The grid widened at
+    # alpha <= 1.6 reads the first build's contour.
+    model, spec = _paper_model(alpha)
+    gammas, sines = [], []
+    monkeypatch.setattr(greens, "_loggamma_vec", _recording(gammas, _loggamma_vec))
+    monkeypatch.setattr(greens, "_log_sinpi_vec", _recording(sines, _log_sinpi_vec))
+    result = greens.discretized_price(model, spec)
+    assert result.diagnostics["widenings"] == (1 if alpha <= 1.6 else 0)
+    assert len(gammas) == 3
+    assert len(sines) == 3
+    # Two arguments per node: 1 - t and 1 - t/alpha for log Gamma, rho*t
+    # and t/alpha for log sin, whose branch takes y = 0 in closed form.
+    assert gammas[0].size == 2 * greens._PROBE_START
+    assert sines[0].size == 2 * (greens._PROBE_START - 1)
+    assert all(a.size % 2 == 0 for a in gammas + sines)
 
 
 def test_a_widened_price_evaluates_each_contour_node_once(monkeypatch):
     # At alpha = 1.5 the default grid's edge leaks, so the price builds a
     # second, wider grid; it reads the first build's contour.
-    spec = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
-    model = StableModel.from_spec(spec, 1.5)
+    model, spec = _paper_model(1.5)
     args = []
     builds = []
     build = greens.build_density_grid
-
-    def recording(z):
-        args.append(np.array(z))
-        return _loggamma_vec(z)
 
     def counting(*a, **kw):
         builds.append((a, {k: v for k, v in kw.items() if k != "contours"}))
         return build(*a, **kw)
 
-    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    monkeypatch.setattr(greens, "_loggamma_vec", _recording(args, _loggamma_vec))
     monkeypatch.setattr(greens, "build_density_grid", counting)
     greens.discretized_price(model, spec)
     assert len(builds) == 2
@@ -197,12 +222,7 @@ def test_branches_with_different_cutoffs_share_each_node(monkeypatch, alpha):
     # for a prefix or an extension of the X > 0 call at the same level, so
     # each level evaluates the longer of the two runs once.
     args = []
-
-    def recording(z):
-        args.append(np.array(z))
-        return _loggamma_vec(z)
-
-    monkeypatch.setattr(greens, "_loggamma_vec", recording)
+    monkeypatch.setattr(greens, "_loggamma_vec", _recording(args, _loggamma_vec))
     log_x = np.linspace(-3.0, 3.0, 9)
     greens.stable_density_values(np.concatenate([-np.exp(log_x), np.exp(log_x)]), alpha)
     points = np.concatenate(args)
@@ -217,23 +237,30 @@ def test_branches_with_different_cutoffs_share_each_node(monkeypatch, alpha):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    size=st.integers(1, 2000),
+    sizes=st.lists(st.integers(1, 2000), min_size=1, max_size=2),
     dy=st.floats(1e-3, 1.0),
     start_at_dy=st.booleans(),
     log_x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_phase_sum_matches_the_direct_sum(size, dy, start_at_dy, log_x, seed):
+def test_blocked_phase_sum_matches_the_direct_sum(sizes, dy, start_at_dy, log_x, seed):
+    # One run, or two on one step whose starts differ by half a step, as
+    # the first level and the first halving share them.
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     log_x = np.array(log_x)
     y0 = dy if start_at_dy else 0.0
-    phase = np.outer(log_x, y0 + dy * np.arange(size))
-    want = np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag
-    got = greens._phase_sum(log_x, y0, dy, coeffs)
+    runs = [
+        (y0 + 0.5 * dy * r, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for r, size in enumerate(sizes)
+    ]
+    got = greens._phase_sum(log_x, dy, runs)
+    assert got.shape == (log_x.size, len(runs))
     eps = np.finfo(float).eps
-    tol = 4.0 * eps * (1.0 + float(np.max(np.abs(phase)))) * float(np.sum(np.abs(coeffs)))
-    assert float(np.max(np.abs(got - want))) <= tol
+    for (start, coeffs), column in zip(runs, got.T):
+        phase = np.outer(log_x, start + dy * np.arange(coeffs.size))
+        want = np.cos(phase) @ coeffs.real - np.sin(phase) @ coeffs.imag
+        tol = 4.0 * eps * (1.0 + float(np.max(np.abs(phase)))) * float(np.sum(np.abs(coeffs)))
+        assert float(np.max(np.abs(column - want))) <= tol
 
 
 def four_gamma_ratio(ys, alpha, c1):

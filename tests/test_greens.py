@@ -1,11 +1,13 @@
 """Vertical-line quadrature: density, self-tests, grids, convolution pricer."""
 
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 
 from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
@@ -13,7 +15,7 @@ from paper_checks import cahen_mellin_exp
 
 from fmls import greens
 from fmls.charfn import gil_pelaez_price
-from fmls.errors import QuadratureError
+from fmls.errors import NumericalError, QuadratureError
 from fmls.greens import (
     DensityGrid,
     build_density_grid,
@@ -24,6 +26,9 @@ from fmls.greens import (
 )
 from fmls.model import OptionSpec, StableModel, martingale_drift
 from fmls.series import price_series
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracle  # noqa: E402  (the benchmark's independent reference prices)
 
 # mpmath (mp.dps=50) Fourier inversion of exp((iu)^alpha) at alpha = 1.7.
 G17_AT_HALF = 0.30033331253402954
@@ -262,9 +267,9 @@ class TestDiscretizedPrice:
         calls = []
         original = greens.default_pricing_grid
 
-        def counting(model, spec, refine=0):
+        def counting(model, spec, refine=0, **kwargs):
             calls.append(refine)
-            return original(model, spec, refine)
+            return original(model, spec, refine, **kwargs)
 
         monkeypatch.setattr(greens, "default_pricing_grid", counting)
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
@@ -327,3 +332,34 @@ class TestDiscretizedPrice:
             r = discretized_price(m, s)
             assert r.diagnostics["raw_mass"] == raw.mass()
             assert 0.99 < raw.mass() < 0.999
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(1.05, 2.0, exclude_min=True),
+        moneyness=st.floats(0.5, 3.0),
+        log_tau=st.floats(math.log(0.002), math.log(10.0)),
+        log_sigma=st.floats(math.log(0.05), math.log(1.5)),
+    )
+    # Priced at -8.6e21 before the floor, which gave a negative estimate.
+    @example(
+        alpha=1.180600164218421,
+        moneyness=1.0315588229174364,
+        log_tau=math.log(6.6279167776279895),
+        log_sigma=math.log(0.595536397339918),
+    )
+    def test_sweep_against_the_oracle(self, alpha, moneyness, log_tau, log_sigma):
+        # The engine contract over the oracle box: a price within its
+        # estimate plus 1e-6 of the strike, or a NumericalError.
+        spot, strike, rate = 100.0 * moneyness, 100.0, 0.01
+        sigma, tau = math.exp(log_sigma), math.exp(log_tau)
+        s = OptionSpec(spot=spot, strike=strike, rate=rate, sigma=sigma, tau=tau)
+        try:
+            want = oracle.call_price(spot, strike, rate, sigma, tau, alpha)
+        except oracle.OracleError:  # QUADPACK cannot vouch for the reference
+            reject()
+        try:
+            r = discretized_price(StableModel.from_spec(s, alpha), s)
+        except NumericalError:
+            return
+        assert 0.0 <= r.error_estimate < spot
+        assert abs(r.price - want) <= r.error_estimate + 1e-6 * strike
