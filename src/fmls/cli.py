@@ -282,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "implied-vol",
-        help="invert the series price for sigma by a bracketed secant "
-        "from the Black-Scholes implied vol",
+        help="invert the series price for sigma by a bracketed Halley search "
+        "on the series' own vega and volga, from the Black-Scholes implied vol",
     )
     _add_market_flags(p)
     p.add_argument("--alpha", type=float, required=True)

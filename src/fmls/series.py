@@ -12,7 +12,9 @@ zero there), which is what truncates the sum so quickly in practice.
 
 One m-major (column by column) sum with term-by-term Kahan compensation
 serves both views: the price and the convergence table read the same running
-total, so the table's last partial sum is the price.  The price sums rows
+total, so the table's last partial sum is the price.  The same pass sums
+the terms' n- and m-weights, from which the price's first two
+sigma-derivatives follow in closed form.  The price sums rows
 0..n_max and stops at the first column whose terms sum under 1e-8 * K in
 absolute value; a column 64 that still contributes raises.  Each term's
 magnitude is assembled in log space, which turns intermediate overflow into
@@ -106,22 +108,30 @@ def series_term(model: StableModel, spec: OptionSpec, n: int, m: int) -> float:
 
 def _columns(
     model: StableModel, spec: OptionSpec, n_max: int, m_max: int
-) -> Iterator[tuple[list[float], float, float]]:
-    """Yield (terms, running total, |column| sum) for m = 1, ..., m_max, each
-    column over the rows n = 0, ..., n_max.
+) -> Iterator[tuple[list[float], float, float, tuple[float, ...]]]:
+    """Yield (terms, running total, |column| sum, moments) for m = 1, ...,
+    m_max, each column over the rows n = 0, ..., n_max.
 
     Terms are summed in m-major order with term-by-term Kahan compensation;
-    the running total includes every column yielded so far.
+    the running total includes every column yielded so far.  ``moments`` are
+    the running sums of m*t, m(m-1)*t, n*t, n(m-1)*t and n(n-1)*t over the
+    same terms, the weights :func:`_sigma_derivatives` reads.  A column's
+    plain sum is the step of the running total.  Past the first column, its
+    n-weights cost no pass over its terms: n*t(n, m) = -base*t(n-1, m-1),
+    since the two terms share their Gamma argument and power of x.
     """
     if not (0 <= n_max <= _INDEX_CAP):
         raise ValueError(f"n_max must be in [0, {_INDEX_CAP}], got {n_max}")
     if not (1 <= m_max <= _INDEX_CAP):
         raise ValueError(f"m_max must be in [1, {_INDEX_CAP}], got {m_max}")
+    base = -log_moneyness(spec) - model.mu * spec.tau
     total = 0.0
     comp = 0.0
+    m1 = mm = n1 = nm = nn = 0.0
     for m in range(1, m_max + 1):
         terms = []
         col_abs = 0.0
+        start = total
         for n in range(n_max + 1):
             t = series_term(model, spec, n, m)
             y = t - comp
@@ -130,7 +140,48 @@ def _columns(
             total = s
             col_abs += abs(t)
             terms.append(t)
-        yield terms, total, col_abs
+        col_sum = total - start
+        if m == 1:
+            col_n = col_nn = 0.0
+            for n, t in enumerate(terms):
+                nt = n * t
+                col_n += nt
+                col_nn += (n - 1) * nt
+        else:
+            # The previous column's sums of t and (n-1)*t over its rows
+            # 0..n_max-1, each shifted down one row and times -base.
+            col_n = -base * (prev_sum - prev_last)
+            col_nn = -base * (prev_n - n_max * prev_last)
+        prev_sum, prev_n, prev_last = col_sum, col_n, terms[-1]
+        m1 += m * col_sum
+        mm += m * (m - 1) * col_sum
+        n1 += col_n
+        nm += (m - 1) * col_n
+        nn += col_nn
+        yield terms, total, col_abs, (m1, mm, n1, nm, nn)
+
+
+def _sigma_derivatives(
+    model: StableModel, spec: OptionSpec, base: float, moments: tuple[float, ...]
+) -> tuple[float, float]:
+    """(d/dsigma, d^2/dsigma^2) of the sum of the terms ``moments`` weigh.
+
+    Each term is t ~ base^n x^((m-n)/alpha), with x = -mu*tau ~ sigma^alpha
+    and base = x - L, so dt/dsigma = (n*a + m*b)*t with b = 1/sigma and
+    a = A/base - b, A = dx/dsigma = alpha*x/sigma.  Differentiating again,
+    d^2t/dsigma^2 = (n(n-1)*a^2 + 2n(m-1)*a*b + n*c + m(m-1)*b^2)*t with
+    c = dA/dsigma / base = (alpha-1)*A/(sigma*base).  In these falling
+    moments the 1/base factors cancel term by term, since n(n-1)*t ~ base^2
+    and n*t ~ base, so a small base loses no digits; ``base`` must not be 0.
+    """
+    m1, mm, n1, nm, nn = moments
+    b = 1.0 / spec.sigma
+    big_a = model.alpha * -model.mu * spec.tau / spec.sigma
+    a = big_a / base - b
+    c = (model.alpha - 1.0) * big_a / (spec.sigma * base)
+    vega = a * n1 + b * m1
+    volga = a * a * nn + 2.0 * a * b * nm + c * n1 + b * b * mm
+    return vega, volga
 
 
 def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> PricingResult:
@@ -144,12 +195,21 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
     column 64, the index cap, still contributes that much, and when the
     price less its error estimate lies above the spot: a call is worth at
     most S, so only truncated rows put the whole reported interval there.
+
+    ``diagnostics`` holds ``columns_used``, ``last_column_abs`` and
+    ``last_rows_abs``; ``nonpositive_base`` where base = -mu*tau - L is not
+    positive; ``negative_sum_floored`` where the sum was negative and the
+    price is floored at 0.  ``vega`` and ``volga`` are d price/d sigma and
+    d^2 price/d sigma^2 of the summed terms, in closed form from the same
+    pass (no further Gamma call).  They are absent where the price is
+    floored, and where base is exactly 0: the n >= 1 terms vanish there,
+    but their sigma-derivatives do not.
     """
     tail_tol = _TAIL_REL * spec.strike
     base = -log_moneyness(spec) - model.mu * spec.tau
 
     rows_abs = 0.0
-    for columns_used, (terms, total, col_abs) in enumerate(
+    for columns_used, (terms, total, col_abs, moments) in enumerate(
         _columns(model, spec, n_max, _INDEX_CAP), start=1
     ):
         rows_abs += sum(abs(t) for t in terms[-2:])
@@ -180,6 +240,10 @@ def price_series(model: StableModel, spec: OptionSpec, n_max: int = 24) -> Prici
     if price < 0.0:
         diagnostics["negative_sum_floored"] = True
         price = 0.0
+    elif base != 0.0:
+        diagnostics["vega"], diagnostics["volga"] = _sigma_derivatives(
+            model, spec, base, moments
+        )
     return PricingResult(
         price=price,
         engine="series",
@@ -199,52 +263,55 @@ def convergence_table(
     check.  The sum is the one :func:`price_series` takes, so at ``m_max``
     equal to its ``columns_used``, ``converged_price`` is its unfloored price.
     """
-    columns, totals, _ = zip(*_columns(model, spec, n_max, m_max))
+    columns, totals, *_ = zip(*_columns(model, spec, n_max, m_max))
     return SeriesTable(
         terms=np.column_stack(columns),
         partial_sums=np.array(totals),
     )
 
 
-def _bracketed_secant(
-    diff: Callable[[float], float], sigma: float, slope: float | None, tol: float
-) -> tuple[float, float, float | None]:
-    """The search :func:`implied_vol` describes, on the increasing ``diff``,
-    from ``sigma`` with ``slope`` for the first secant (None: a midpoint).
+def _bracketed_halley(
+    reprice: Callable[[float], tuple[float, float | None, float | None]],
+    sigma: float,
+    tol: float,
+) -> tuple[float, float]:
+    """The search :func:`implied_vol` describes, from ``sigma``, on the
+    increasing function whose (value, first, second derivative) ``reprice``
+    returns; derivatives are None where it has none.
 
-    Returns (sigma, |diff(sigma)|, last secant slope) at the evaluated point
-    of least |diff|: one within ``tol``, or the best one once the midpoint of
-    the bracket equals one of its ends.
+    Returns (sigma, |value|) at the evaluated point of least |value|, the
+    later of equals: one within ``tol``, or the best one once the midpoint
+    of the bracket equals one of its ends (the last one, with |value| = inf,
+    if no value was finite).
     """
     lo, hi = _IV_SIGMA_LO, _IV_SIGMA_HI
     best, best_abs = sigma, math.inf
-    prev = None  # (sigma, diff) of the last finite evaluation
     steps = [math.inf, math.inf]  # the last two steps taken
     while True:
         try:
-            value = diff(sigma)
+            value, d1, d2 = reprice(sigma)
         except NumericalError:
-            value = math.inf
-        if abs(value) < best_abs:
+            value, d1, d2 = math.inf, None, None
+        if abs(value) <= best_abs:
             best, best_abs = sigma, abs(value)
         if best_abs <= tol:
-            return best, best_abs, slope
+            return best, best_abs
         if value > 0.0:
             hi = sigma
         else:
             lo = sigma
-        if math.isfinite(value):
-            if prev is not None:
-                slope = (value - prev[1]) / (sigma - prev[0])
-            prev = (sigma, value)
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            return best, best_abs, slope
+            return best, best_abs
         step = mid - sigma
-        if math.isfinite(value) and slope is not None and slope > 0.0:
-            secant = -value / slope
-            if lo < sigma + secant < hi and abs(secant) < 0.5 * abs(steps[0]):
-                step = secant
+        if d1 is not None and d1 > 0.0:
+            denom = 2.0 * d1 * d1 - value * d2
+            if denom > 0.0:
+                trial = -2.0 * value * d1 / denom
+            else:
+                trial = -value / d1
+            if lo < sigma + trial < hi and abs(trial) < 0.5 * abs(steps[0]):
+                step = trial
         steps = [steps[1], step]
         sigma += step
 
@@ -258,29 +325,34 @@ def implied_vol(
     target_price: float,
     tol: float = 1e-9,
 ) -> float:
-    """Invert the series price for sigma by a bracketed secant seeded at the
-    Black-Scholes implied vol.
+    """Invert the series price for sigma by a bracketed Halley search seeded
+    at the Black-Scholes implied vol.
 
     The seed is the sigma at which :func:`bs_price` meets the target, found
-    by the same search on the Black-Scholes price, so it costs no series
-    term; at alpha = 2 it is already the root.  From there each step is a
-    secant step on ``price_series`` with 40 rows through the last two
-    finite values (the first uses the Black-Scholes slope at the seed).
-    Every evaluated sign tightens the bracket [_IV_SIGMA_LO, _IV_SIGMA_HI].
-    The step falls back to the bracket midpoint whenever the secant step
-    would leave the open bracket, has a non-positive or non-finite slope,
-    or is not less than half the step taken two iterations before (Brent's
+    by the same search on the Black-Scholes price with its closed-form vega
+    and volga, so it costs no series term; at alpha = 2 it is already the
+    root.  From there each step is a Halley step, -2ff'/(2f'^2 - ff''), on
+    ``price_series`` with 40 rows, whose ``vega`` and ``volga`` give f' and
+    f'' at the same reprice; a Newton step -f/f' where the denominator is
+    not positive.  Every evaluated sign tightens the bracket
+    [_IV_SIGMA_LO, _IV_SIGMA_HI].  The step falls back to the bracket
+    midpoint whenever the reprice has no derivatives (a floored or raised
+    price), the Halley or Newton step would leave the open bracket, or it
+    is not less than half the step taken two iterations before (Brent's
     guard).
 
     ``tol`` bounds the repriced value: the returned sigma has
-    |series price - target| <= tol, in currency.  A :class:`NumericalError`
-    from a reprice counts as sigma above the root: the series raises when it
-    leaves the representable range, which happens only at large sigma, and
-    when its price lies above the spot; either way the price exceeds any
-    admissible target.  Raises :class:`ConvergenceError` once the
-    midpoint of the bracket equals one of its ends with no sigma within
-    ``tol``: the series price jumps there.  The target must respect the
-    no-arbitrage bounds max(S - K e^{-r tau}, 0) < target < S.
+    |series price - target| <= tol, in currency, and a reprice whose
+    ``error_estimate`` is not below the spot, an interval that bounds
+    nothing, is never returned: only its sign tightens the bracket.  A
+    :class:`NumericalError` from a reprice counts as sigma above the root:
+    the series raises when it leaves the representable range, which happens
+    only at large sigma, and when its price lies above the spot; either way
+    the price exceeds any admissible target.  Raises
+    :class:`ConvergenceError` once the midpoint of the bracket equals one of
+    its ends with no sigma within ``tol``: the series price jumps there.
+    The target must respect the no-arbitrage bounds
+    max(S - K e^{-r tau}, 0) < target < S.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -294,24 +366,35 @@ def implied_vol(
     def spec_at(sigma: float) -> OptionSpec:
         return OptionSpec(spot=spot, strike=strike, rate=rate, sigma=sigma, tau=tau)
 
-    def series_diff(sigma: float) -> float:
+    def bs_diff(sigma: float) -> tuple[float, float, float]:
         spec = spec_at(sigma)
-        model = StableModel.from_spec(spec, alpha)
-        return price_series(model, spec, _IV_N_MAX).price - target_price
+        vol = sigma * math.sqrt(tau)
+        d_plus = log_moneyness(spec) / vol + 0.5 * vol
+        vega = spot * math.sqrt(tau / (2.0 * math.pi)) * math.exp(-0.5 * d_plus * d_plus)
+        volga = vega * d_plus * (d_plus - vol) / sigma
+        return bs_price(spec) - target_price, vega, volga
+
+    def series_diff(sigma: float) -> tuple[float, float | None, float | None]:
+        spec = spec_at(sigma)
+        result = price_series(StableModel.from_spec(spec, alpha), spec, _IV_N_MAX)
+        miss = result.price - target_price
+        if result.error_estimate >= spot:
+            # An interval that bounds nothing: its side may tighten the
+            # bracket, but an infinite miss is never returned.
+            return math.copysign(math.inf, miss), None, None
+        return miss, result.diagnostics.get("vega"), result.diagnostics.get("volga")
 
     # The bracket holds mathematically: price -> intrinsic as sigma -> 0 and
     # -> spot as sigma -> inf, so the endpoints are never evaluated.
-    seed, _, vega = _bracketed_secant(
-        lambda sigma: bs_price(spec_at(sigma)) - target_price,
-        0.5 * (_IV_SIGMA_LO + _IV_SIGMA_HI),
-        None,
-        tol,
-    )
-    sigma, miss, _ = _bracketed_secant(series_diff, seed, vega, tol)
+    seed, _ = _bracketed_halley(bs_diff, 0.5 * (_IV_SIGMA_LO + _IV_SIGMA_HI), tol)
+    sigma, miss = _bracketed_halley(series_diff, seed, tol)
     if miss > tol:
+        loose = "" if math.isfinite(miss) else (
+            "; no reprice had an error estimate below the spot"
+        )
         raise ConvergenceError(
             f"implied_vol stopped at sigma={sigma!r} with |price - target| = "
             f"{miss:.3e} > tol={tol!r}: the bracket can no longer shrink, so "
-            f"the series price is discontinuous there"
+            f"the series price is discontinuous there{loose}"
         )
     return sigma

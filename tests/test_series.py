@@ -22,8 +22,9 @@ from paper_checks import atmf_bs_series, bs_atmf_price
 
 from fmls import series
 from fmls.bs import bs_price
+from fmls.charfn import gil_pelaez_price
 from fmls.errors import ConvergenceError, NumericalError, SeriesOverflowError
-from fmls.model import OptionSpec, StableModel
+from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import (
     convergence_table,
     implied_vol,
@@ -267,6 +268,7 @@ class TestPriceSeries:
         r = price_series(m, s)
         assert r.price == 0.0
         assert r.diagnostics["negative_sum_floored"] is True
+        assert "vega" not in r.diagnostics and "volga" not in r.diagnostics
         table = convergence_table(m, s, 24, r.diagnostics["columns_used"])
         assert table.converged_price == pytest.approx(-8.51, abs=0.005)
 
@@ -343,6 +345,29 @@ class TestPriceSeries:
             prices_v.append(price_series(StableModel.from_spec(s, 1.7), s).price)
         assert all(b > a for a, b in zip(prices_v, prices_v[1:]))
 
+    # (price, error_estimate) of the 12 paper series cells, bit for bit: the
+    # derivative sums that ride in the same pass must not move them.
+    PAPER_CELLS = {
+        (3800.0, 1.5): (284.5196720328638, 5.081938769589585e-06),
+        (3800.0, 1.6): (268.51500616592404, 2.725184379866912e-06),
+        (3800.0, 1.7): (256.0350561373138, 3.2510026275965594e-05),
+        (3800.0, 1.8): (246.59081752992336, 2.8367136474018658e-05),
+        (3800.0, 1.9): (239.82747976595812, 2.8389664272076485e-05),
+        (3800.0, 2.0): (235.51359507963252, 3.152475456995731e-05),
+        (4200.0, 1.5): (547.6686515251549, 1.664776184565072e-05),
+        (4200.0, 1.6): (523.2529178235991, 1.0333962186608134e-05),
+        (4200.0, 1.7): (502.5349527482334, 1.191126382103866e-05),
+        (4200.0, 1.8): (485.0727725907814, 1.4293814606437532e-05),
+        (4200.0, 1.9): (470.5556750442461, 1.7812705981710854e-05),
+        (4200.0, 2.0): (458.79306373996775, 2.302628356737134e-05),
+    }
+
+    @pytest.mark.parametrize("spot, alpha", sorted(PAPER_CELLS))
+    def test_paper_cells_are_bit_identical(self, spot, alpha):
+        s = OptionSpec(spot=spot, strike=4000.0, rate=0.01, sigma=0.2, tau=1.0)
+        r = price_series(StableModel.from_spec(s, alpha), s)
+        assert (r.price, r.error_estimate) == self.PAPER_CELLS[spot, alpha]
+
     def test_truncation_validation(self):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
@@ -352,6 +377,115 @@ class TestPriceSeries:
         for m_max in (0, 65):
             with pytest.raises(ValueError, match="m_max"):
                 convergence_table(m, s, 8, m_max)
+
+
+def bs_vega_volga(s: OptionSpec) -> tuple[float, float]:
+    """Black-Scholes vega S*sqrt(tau)*phi(d1) and volga vega*d1*d2/sigma."""
+    vol = s.sigma * math.sqrt(s.tau)
+    d1 = log_moneyness(s) / vol + 0.5 * vol
+    vega = s.spot * math.sqrt(s.tau) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return vega, vega * d1 * (d1 - vol) / s.sigma
+
+
+def series_at(
+    s: OptionSpec, sigma: float, alpha: float, columns: int, n_max: int = series._IV_N_MAX
+) -> float:
+    """The unfloored sum of ``columns`` columns and rows 0..n_max at ``sigma``:
+    the function whose derivatives price_series reports, with its truncation
+    held fixed."""
+    at = OptionSpec(spot=s.spot, strike=s.strike, rate=s.rate, sigma=sigma, tau=s.tau)
+    model = StableModel.from_spec(at, alpha)
+    return convergence_table(model, at, n_max, columns).converged_price
+
+
+class TestSigmaDerivatives:
+    # The smile_calibration box, where implied_vol steps on these.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moneyness=st.floats(0.8, 1.25),
+        alpha=st.floats(1.5, 2.0),
+        tau=st.floats(0.25, 2.0),
+        sigma=st.floats(0.1, 0.5),
+    )
+    def test_match_central_differences(self, moneyness, alpha, tau, sigma):
+        s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
+        try:
+            r = price_series(StableModel.from_spec(s, alpha), s, series._IV_N_MAX)
+        except NumericalError:
+            assume(False)
+        assume("vega" in r.diagnostics and r.error_estimate < 1e-6 * s.strike)
+        columns = r.diagnostics["columns_used"]
+        h = 1e-3 * sigma
+        up, mid, down = (series_at(s, sigma + k * h, alpha, columns) for k in (1, 0, -1))
+        scale = s.spot * math.sqrt(tau)  # vega is at most 0.4 of this
+        assert abs(r.diagnostics["vega"] - (up - down) / (2 * h)) <= 1e-5 * scale
+        assert abs(r.diagnostics["volga"] - (up - 2 * mid + down) / h**2) <= 1e-5 * scale / sigma
+
+    # Few rows leave the last rows large, so the row bookkeeping shows.
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 8])
+    def test_match_central_differences_at_few_rows(self, n_max):
+        s = spec_otm()
+        r = price_series(StableModel.from_spec(s, 1.7), s, n_max)
+        h = 1e-4 * s.sigma
+        up, mid, down = (
+            series_at(s, s.sigma + k * h, 1.7, r.diagnostics["columns_used"], n_max)
+            for k in (1, 0, -1)
+        )
+        assert r.diagnostics["vega"] == pytest.approx((up - down) / (2 * h), rel=1e-7)
+        assert r.diagnostics["volga"] == pytest.approx((up - 2 * mid + down) / h**2, rel=1e-4)
+
+    # d/dsigma weighs a term t by n*a + m/sigma, with a = dx/dsigma / base -
+    # 1/sigma and x = sigma^2 tau / 2 at alpha = 2.  So the truncated terms,
+    # which the estimate sums, move the derivatives by at most that weight
+    # (squared for volga) over the rows and columns summed.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moneyness=st.floats(0.8, 1.25),
+        tau=st.floats(0.25, 2.0),
+        sigma=st.floats(0.1, 0.5),
+    )
+    def test_gaussian_limit_is_black_scholes(self, moneyness, tau, sigma):
+        s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
+        try:
+            r = price_series(StableModel.from_spec(s, 2.0), s, series._IV_N_MAX)
+        except NumericalError:
+            assume(False)
+        assume("vega" in r.diagnostics)  # not floored
+        vega, volga = bs_vega_volga(s)
+        base = 0.5 * sigma**2 * tau - log_moneyness(s)
+        a = abs(sigma * tau / base) + 1.0 / sigma
+        weight = series._IV_N_MAX * a + r.diagnostics["columns_used"] / sigma
+        assert abs(r.diagnostics["vega"] - vega) <= weight * r.error_estimate
+        assert abs(r.diagnostics["volga"] - volga) <= weight**2 * r.error_estimate
+
+    # The spot at which log-forward-moneyness equals x = -mu*tau, up to
+    # rounding: base is of order 1e-17 and the 1/base factors must cancel.
+    @pytest.mark.parametrize(
+        "alpha, sigma, tau", [(1.7, 0.2, 1.0), (1.5, 0.3, 0.5), (2.0, 0.25, 2.0)]
+    )
+    def test_a_tiny_base_loses_no_digits(self, alpha, sigma, tau):
+        x = -martingale_drift(sigma, alpha) * tau
+        spot = 100.0 * math.exp(x - 0.01 * tau)
+        s = OptionSpec(spot=spot, strike=100.0, rate=0.01, sigma=sigma, tau=tau)
+        assert 0.0 < abs(x - log_moneyness(s)) < 1e-15
+        r = price_series(StableModel.from_spec(s, alpha), s, series._IV_N_MAX)
+        h = 1e-3 * sigma
+        up, mid, down = (
+            series_at(s, sigma + k * h, alpha, r.diagnostics["columns_used"]) for k in (1, 0, -1)
+        )
+        assert r.diagnostics["vega"] == pytest.approx((up - down) / (2 * h), rel=1e-6)
+        volga = (up - 2 * mid + down) / h**2
+        assert r.diagnostics["volga"] == pytest.approx(volga, abs=1e-4 * s.spot)
+
+    # A rate equal to x makes base exactly 0 at tau = 1 and S = K: the n >= 1
+    # terms vanish, but not their sigma-derivatives, so none is reported.
+    def test_none_where_the_base_vanishes(self):
+        x = -martingale_drift(0.2, 1.7)
+        s = OptionSpec(spot=100.0, strike=100.0, rate=x, sigma=0.2, tau=1.0)
+        assert x - log_moneyness(s) == 0.0
+        r = price_series(StableModel.from_spec(s, 1.7), s)
+        assert r.price > 0.0
+        assert "vega" not in r.diagnostics and "volga" not in r.diagnostics
 
 
 class TestAtmfSeries:
@@ -397,15 +531,16 @@ class TestAtmfSeries:
 
 
 class TestImpliedVol:
-    # At alpha = 2 the Black-Scholes seed is already the root, so the
-    # secant only closes the gap between the series and bs_price.
+    # One reprice at the Black-Scholes seed, one Halley step, one to confirm.
+    # At alpha = 2 the seed is already the root, so the search only closes
+    # the gap between the series and bs_price.
     def test_round_trip_stable(self, reprices):
         s = spec_otm()
         m = StableModel.from_spec(s, 1.7)
         target = price_series(m, s).price
         got = implied_vol(3800, 4000, 0.01, 1.0, 1.7, target, tol=1e-10)
         assert abs(got - 0.2) <= 1e-6
-        assert reprices.call_count <= 8
+        assert reprices.call_count <= 3
 
     def test_round_trip_gaussian(self, reprices):
         s = spec_otm()
@@ -436,6 +571,9 @@ class TestImpliedVol:
         tau=st.floats(0.25, 2.0),
         sigma=st.floats(0.1, 0.5),
     )
+    # The target's own estimate is 0.25 here, and sigma = 0.074 below the
+    # root reprices as a floored 0 with an estimate of 9e4.
+    @example(moneyness=0.875, alpha=1.5, tau=0.25, sigma=0.1015625)
     def test_solve_meets_tol_in_few_reprices_or_raises(self, moneyness, alpha, tau, sigma):
         s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
         try:
@@ -452,6 +590,38 @@ class TestImpliedVol:
         back = OptionSpec(spot=s.spot, strike=s.strike, rate=s.rate, sigma=got, tau=tau)
         repriced = price_series(StableModel.from_spec(back, alpha), back, series._IV_N_MAX)
         assert abs(repriced.price - target) <= 1e-9
+
+    # The low-sigma corner of the smile box, where 40 rows leave the series
+    # loose near the root; the target comes from the Fourier engine.  In the
+    # example the series meets the target at sigma = 0.106, with an estimate
+    # of 2e4 on a spot of 100.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        moneyness=st.floats(0.8, 1.0),
+        alpha=st.floats(1.5, 1.6),
+        tau=st.floats(0.25, 0.4),
+        sigma=st.floats(0.1, 0.13),
+    )
+    @example(
+        moneyness=0.8154167617001078,
+        alpha=1.5488449227085523,
+        tau=0.28192464930105016,
+        sigma=0.10398088892640363,
+    )
+    def test_returned_sigma_reprices_within_the_spot(self, moneyness, alpha, tau, sigma):
+        s = OptionSpec(spot=100.0, strike=100.0 * moneyness, rate=0.01, sigma=sigma, tau=tau)
+        try:
+            target = gil_pelaez_price(StableModel.from_spec(s, alpha), s).price
+        except NumericalError:
+            assume(False)
+        assume(max(s.spot - s.strike * math.exp(-s.rate * tau), 0.0) < target < s.spot)
+        try:
+            got = implied_vol(s.spot, s.strike, s.rate, tau, alpha, target)
+        except NumericalError:
+            return
+        back = OptionSpec(spot=s.spot, strike=s.strike, rate=s.rate, sigma=got, tau=tau)
+        repriced = price_series(StableModel.from_spec(back, alpha), back, series._IV_N_MAX)
+        assert repriced.error_estimate < s.spot
 
     def test_bound_violations(self):
         with pytest.raises(ValueError):
