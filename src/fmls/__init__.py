@@ -9,22 +9,22 @@ Four engines share one set of market/model records:
 - ``discretized_price``: convolution of the payoff with a sampled
   Mellin-Barnes density grid;
 - ``bs_price``: the Black-Scholes closed form, exact at stability index 2.
+
+The closed forms need no numerical technique, and ``import fmls`` loads no
+numpy: ``price_series``, ``bs_price`` and ``implied_vol`` run on ``math``
+alone.  The numerical engines, the ``charfn``, ``greens`` and ``quadrature``
+submodules (and ``cli``), load with numpy on first use, through the package
+attributes or the names exported from them.
 """
 
+import importlib
+
 from .bs import bs_price
-from .charfn import gil_pelaez_price
 from .errors import (
     ConvergenceError,
     NumericalError,
     QuadratureError,
     SeriesOverflowError,
-)
-from .greens import (
-    DensityGrid,
-    build_density_grid,
-    default_pricing_grid,
-    discretized_price,
-    stable_density_values,
 )
 from .model import (
     ENGINES,
@@ -68,3 +68,28 @@ __all__ = [
     "series_term",
     "stable_density_values",
 ]
+
+# Submodules that load on first access, and the exported names they hold.
+_LAZY_MODULES = ("charfn", "cli", "greens", "quadrature")
+_LAZY_NAMES = {
+    "gil_pelaez_price": "charfn",
+    "DensityGrid": "greens",
+    "build_density_grid": "greens",
+    "default_pricing_grid": "greens",
+    "discretized_price": "greens",
+    "stable_density_values": "greens",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})

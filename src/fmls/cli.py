@@ -6,6 +6,10 @@ written by the standard library's ``json`` module, whose floats are the
 shortest ``repr`` that round-trips each double exactly; CSV writes floats
 with 17 significant digits.  Both use a '.' decimal separator and LF line
 endings.
+
+The Fourier and density engines, and numpy with them, are imported by the
+commands that use them, so series, Black-Scholes and implied-vol commands
+start without numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import sys
 from typing import Any
 
 from .bs import bs_price
-from .charfn import gil_pelaez_price
-from .greens import build_density_grid, discretized_price, leaking_edge
 from .model import OptionSpec, PricingResult, StableModel, martingale_drift
 from .series import convergence_table, implied_vol, price_series
 
@@ -57,8 +59,12 @@ def _price_once(
     if engine == "series":
         return price_series(model, spec, n_max)
     if engine == "gilpelaez":
+        from .charfn import gil_pelaez_price
+
         return gil_pelaez_price(model, spec)
     if engine == "discretization":
+        from .greens import discretized_price
+
         return discretized_price(model, spec, refine)
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -165,6 +171,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    from .greens import build_density_grid, leaking_edge
+
     mu = martingale_drift(args.sigma, args.alpha)
     grid = build_density_grid(
         args.alpha,

@@ -26,13 +26,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bs import bs_price
 from .errors import ConvergenceError, NumericalError, SeriesOverflowError
 from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 from .special_functions import ln_gamma_real, reciprocal_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeriesTable",
@@ -55,6 +57,8 @@ _TAIL_REL = 1e-8
 # Rows of every implied-vol reprice, more than the default because a solve
 # may step to any sigma of its bracket, up to _IV_SIGMA_HI.
 _IV_N_MAX = 40
+# A solve stops after this many reprices in a row that bound nothing.
+_IV_BLIND_RUN = 12
 
 
 @dataclass(frozen=True)
@@ -263,6 +267,8 @@ def convergence_table(
     check.  The sum is the one :func:`price_series` takes, so at ``m_max``
     equal to its ``columns_used``, ``converged_price`` is its unfloored price.
     """
+    import numpy as np  # the one series path that needs arrays
+
     columns, totals, *_ = zip(*_columns(model, spec, n_max, m_max))
     return SeriesTable(
         terms=np.column_stack(columns),
@@ -274,19 +280,21 @@ def _bracketed_halley(
     reprice: Callable[[float], tuple[float, float | None, float | None]],
     sigma: float,
     tol: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, bool]:
     """The search :func:`implied_vol` describes, from ``sigma``, on the
     increasing function whose (value, first, second derivative) ``reprice``
-    returns; derivatives are None where it has none.
+    returns; derivatives are None where it has none, and an infinite value
+    or a :class:`NumericalError` gives only its sign.
 
-    Returns (sigma, |value|) at the evaluated point of least |value|, the
-    later of equals: one within ``tol``, or the best one once the midpoint
-    of the bracket equals one of its ends (the last one, with |value| = inf,
-    if no value was finite).
+    Returns (sigma, |value|, blind) at the evaluated point of least |value|,
+    the later of equals: one within ``tol``, or the best one once the
+    midpoint of the bracket equals one of its ends or ``_IV_BLIND_RUN``
+    values in a row were infinite; ``blind`` says the latter stopped it.
     """
     lo, hi = _IV_SIGMA_LO, _IV_SIGMA_HI
     best, best_abs = sigma, math.inf
     steps = [math.inf, math.inf]  # the last two steps taken
+    blind = 0  # infinite values in a row
     while True:
         try:
             value, d1, d2 = reprice(sigma)
@@ -295,14 +303,17 @@ def _bracketed_halley(
         if abs(value) <= best_abs:
             best, best_abs = sigma, abs(value)
         if best_abs <= tol:
-            return best, best_abs
+            return best, best_abs, False
+        blind = blind + 1 if math.isinf(value) else 0
+        if blind == _IV_BLIND_RUN:
+            return best, best_abs, True
         if value > 0.0:
             hi = sigma
         else:
             lo = sigma
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            return best, best_abs
+            return best, best_abs, False
         step = mid - sigma
         if d1 is not None and d1 > 0.0:
             denom = 2.0 * d1 * d1 - value * d2
@@ -350,7 +361,9 @@ def implied_vol(
     only at large sigma, and when its price lies above the spot; either way
     the price exceeds any admissible target.  Raises
     :class:`ConvergenceError` once the midpoint of the bracket equals one of
-    its ends with no sigma within ``tol``: the series price jumps there.
+    its ends with no sigma within ``tol``: the series price jumps there; and
+    once 12 reprices in a row bound nothing, as further halvings of the
+    bracket would learn nothing more.
     The target must respect the no-arbitrage bounds
     max(S - K e^{-r tau}, 0) < target < S.
     """
@@ -386,15 +399,18 @@ def implied_vol(
 
     # The bracket holds mathematically: price -> intrinsic as sigma -> 0 and
     # -> spot as sigma -> inf, so the endpoints are never evaluated.
-    seed, _ = _bracketed_halley(bs_diff, 0.5 * (_IV_SIGMA_LO + _IV_SIGMA_HI), tol)
-    sigma, miss = _bracketed_halley(series_diff, seed, tol)
+    seed, *_ = _bracketed_halley(bs_diff, 0.5 * (_IV_SIGMA_LO + _IV_SIGMA_HI), tol)
+    sigma, miss, blind = _bracketed_halley(series_diff, seed, tol)
     if miss > tol:
-        loose = "" if math.isfinite(miss) else (
-            "; no reprice had an error estimate below the spot"
+        why = (
+            f"{_IV_BLIND_RUN} reprices in a row bounded nothing (an error "
+            "estimate not below the spot, or a numerical error)"
+            if blind
+            else "the bracket can no longer shrink, so the series price is "
+            "discontinuous there"
         )
         raise ConvergenceError(
             f"implied_vol stopped at sigma={sigma!r} with |price - target| = "
-            f"{miss:.3e} > tol={tol!r}: the bracket can no longer shrink, so "
-            f"the series price is discontinuous there{loose}"
+            f"{miss:.3e} > tol={tol!r}: {why}"
         )
     return sigma

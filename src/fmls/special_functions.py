@@ -1,4 +1,4 @@
-"""Gamma-family special functions and the normal CDF.
+"""Gamma-family special functions and the normal CDF, on scalar floats.
 
 Every pricing engine in this package reduces to evaluations of the Gamma
 function -- on the positive real axis for the series terms, at negative
@@ -8,6 +8,12 @@ approximation (g = 607/128, 15 terms) whose coefficients are committed
 below.  Accuracy budget: ~1e-14 relative on the real axis, ~1e-13 relative
 for complex arguments with |z| <= 200.
 
+This module holds the scalar path only, in plain ``math``, so the series
+and Black-Scholes engines load no numpy.  The complex array kernels of the
+contour quadratures, ``_loggamma_vec`` and ``_log_sinpi_vec``, live in
+:mod:`fmls.greens`, their one user, and share ``lanczos_sum``,
+``LANCZOS_G``, ``LOG_SQRT_2PI`` and ``LOG_PI`` from here.
+
 Overflow never escapes as ``inf``: operations raise ``OverflowError``
 instead, which keeps downstream term accounting deterministic.
 """
@@ -16,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "ln_gamma_real",
     "reciprocal_gamma",
@@ -25,7 +29,7 @@ __all__ = [
 ]
 
 # Lanczos g = 607/128, 15 coefficients (Godfrey's set, also used by Boost).
-_LANCZOS_G = 607.0 / 128.0
+LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
     0.99999999999999709182,
     57.156235665862923517,
@@ -44,13 +48,13 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-_LOG_SQRT_2PI = 0.91893853320467274178032973640562
-_LOG_PI = math.log(math.pi)
+LOG_SQRT_2PI = 0.91893853320467274178032973640562
+LOG_PI = math.log(math.pi)
 _INTEGER_TOL = 1e-12
 _MAX_EXP = 709.0  # log(DBL_MAX) ~ 709.78
 
 
-def _lanczos_sum(z):
+def lanczos_sum(z):
     """Lanczos rational part A_g(z); works for real or complex z, Re(z) >= 0.5."""
     s = _LANCZOS_C[0]
     for k in range(1, 15):
@@ -69,8 +73,8 @@ def ln_gamma_real(x: float) -> float:
     if x < 0.5:
         # Recurrence Gamma(x) = Gamma(x+1)/x keeps the Lanczos core on Re >= 0.5.
         return ln_gamma_real(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    out = _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_sum(x))
+    t = x + LANCZOS_G - 0.5
+    out = LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(lanczos_sum(x))
     if math.isinf(out):
         raise OverflowError(f"ln_gamma_real overflow at x={x!r}")
     return out
@@ -102,65 +106,10 @@ def reciprocal_gamma(x: float) -> float:
     # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi*x) / pi, assembled in log
     # space because Gamma(1-x) alone overflows for x below about -170.6.
     s = _sinpi(x)
-    log_mag = ln_gamma_real(1.0 - x) + math.log(abs(s)) - _LOG_PI
+    log_mag = ln_gamma_real(1.0 - x) + math.log(abs(s)) - LOG_PI
     if log_mag > _MAX_EXP:
         raise OverflowError(f"reciprocal_gamma overflow at x={x!r}")
     return math.copysign(math.exp(log_mag), s)
-
-
-def _loggamma_right(z: np.ndarray) -> np.ndarray:
-    """Lanczos log Gamma on a complex array with Re(z) >= 0.5."""
-    t = z + (_LANCZOS_G - 0.5)
-    return _LOG_SQRT_2PI + (z - 0.5) * np.log(t) - t + np.log(_lanczos_sum(z))
-
-
-def _loggamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized log Gamma on complex arrays, reflection for Re(z) < 0.5.
-
-    Used by the contour quadratures; callers guarantee arguments stay off
-    the poles at the non-positive integers.  An array wholly in
-    Re(z) >= 0.5, which is every density contour call at its default
-    abscissa, goes straight to the Lanczos form, with no masks.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.size and z.real.min() >= 0.5:
-        return _loggamma_right(z)
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _loggamma_right(z[right])
-    if np.any(~right):
-        zl = z[~right]
-        out[~right] = _LOG_PI - _log_sinpi_vec(zl) - _loggamma_vec(1.0 - zl)
-    return out
-
-
-def _log_sinpi_vec(z: np.ndarray) -> np.ndarray:
-    """Analytic continuation of log sin(pi*z), matching the standard
-    log-Gamma branch under reflection (no spurious 2*pi*i jumps), and
-    overflow-safe for large |Im z|."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    y = z.imag
-    on_axis = y == 0.0
-    if np.any(on_axis):
-        x = z.real[on_axis]
-        n = np.round(x)
-        s = np.sin(np.pi * (x - n))  # x - n in [-0.5, 0.5], exact
-        s = np.where((n.astype(np.int64) & 1).astype(bool), -s, s)
-        # A +0 imaginary part: negative s takes +i*pi, whatever the roundoff.
-        out[on_axis] = np.log(s + 0j)
-    if np.any(~on_axis):
-        zb = z[~on_axis]
-        conj = zb.imag < 0.0
-        zb = np.where(conj, zb.conj(), zb)
-        # In the upper half-plane sin(pi z) = -(e^{-i pi z}/(2i))(1 - e^{2 i pi z})
-        # with |e^{2 i pi z}| < 1, so this branch is analytic there.  The phase
-        # of the small exponential is reduced exactly before exponentiation.
-        w = np.exp(2j * np.pi * (zb - np.round(zb.real)))
-        val = -1j * np.pi * zb + np.log(1.0 - w) + (math.log(0.5) + 0.5j * np.pi)
-        out[~on_axis] = np.where(conj, val.conj(), val)
-    return out
 
 
 def normal_cdf(x: float) -> float:

@@ -17,10 +17,10 @@ import math
 import numpy as np
 
 from fmls.bs import bs_price
-from fmls.greens import _half_line_transform
+from fmls.greens import _half_line_transform, _loggamma_vec
 from fmls.model import OptionSpec, StableModel
 from fmls.series import series_term
-from fmls.special_functions import _loggamma_vec, reciprocal_gamma
+from fmls.special_functions import reciprocal_gamma
 
 
 def bs_atmf_price(spot: float, sigma: float, tau: float) -> float:

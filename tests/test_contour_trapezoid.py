@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fmls import greens
 from fmls.errors import QuadratureError
 from fmls.model import OptionSpec, StableModel
-from fmls.special_functions import _log_sinpi_vec, _loggamma_vec
+from fmls.greens import _log_sinpi_vec, _loggamma_vec
 
 
 def reference_transform(log_x, ratio_fn, prefactor):

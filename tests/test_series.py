@@ -37,8 +37,8 @@ def spec_otm(tau: float = 1.0) -> OptionSpec:
     return OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=0.2, tau=tau)
 
 
-# A smile_calibration solve on which the series price jumps near its root:
-# no sigma reprices within the default tol, and the bracket collapses.
+# A smile_calibration solve on which no reprice bounds anything: every
+# error estimate is at or above the spot, so the solve stops after 12.
 DISCONTINUOUS_SOLVE = dict(
     spot=100.0,
     strike=116.75510037690402,
@@ -558,10 +558,25 @@ class TestImpliedVol:
         assert reprices.call_count <= 4
 
     def test_stops_once_the_bracket_cannot_shrink(self, reprices):
-        with pytest.raises(ConvergenceError, match="discontinuous") as info:
+        with pytest.raises(ConvergenceError, match="bounded nothing") as info:
             implied_vol(**DISCONTINUOUS_SOLVE)
         assert "sigma=" in str(info.value) and "|price - target|" in str(info.value)
-        assert reprices.call_count <= 100
+        assert reprices.call_count <= 12
+
+    def test_raises_where_the_series_price_jumps(self):
+        # Between these two sigmas column 9 starts to count, and the 40-row
+        # price steps up by 1.8e-8: a target inside the step has no root.
+        below, above = (
+            price_series(StableModel.from_spec(s, 1.7), s, series._IV_N_MAX)
+            for s in (
+                OptionSpec(spot=100.0, strike=100.0, rate=0.01, sigma=sigma, tau=1.0)
+                for sigma in (0.22498588787095414, 0.22498588787095417)
+            )
+        )
+        assert (below.diagnostics["columns_used"], above.diagnostics["columns_used"]) == (8, 9)
+        target = 0.5 * (below.price + above.price)
+        with pytest.raises(ConvergenceError, match="discontinuous"):
+            implied_vol(100.0, 100.0, 0.01, 1.0, 1.7, target)
 
     # The smile_calibration box; the target is the series price itself.
     @settings(max_examples=40, deadline=None)

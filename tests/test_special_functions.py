@@ -12,12 +12,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from fmls.special_functions import (
-    _loggamma_vec,
-    ln_gamma_real,
-    normal_cdf,
-    reciprocal_gamma,
-)
+from fmls.greens import _loggamma_vec
+from fmls.special_functions import ln_gamma_real, normal_cdf, reciprocal_gamma
 
 LOG_SQRT_PI_HALF = -0.12078223763524522  # log(sqrt(pi)/2), mpmath 50 digits
 TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi), mpmath 50 digits
