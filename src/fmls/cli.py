@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 from .bs import bs_price
 from .model import OptionSpec, PricingResult, StableModel, martingale_drift
@@ -28,7 +27,7 @@ __all__ = ["main", "entry"]
 _ENGINE_FLAGS = ("series", "gilpelaez", "discretization", "bs")
 
 
-def _f(x: Any) -> str:
+def _f(x: float) -> str:
     """17-significant-digit rendering of CSV floats."""
     return format(float(x), ".17g")
 

@@ -43,12 +43,11 @@ halving share one set of tables.  Gamma ratios are assembled in log space
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError
-from .model import OptionSpec, PricingResult, StableModel
+from .model import OptionSpec, PricingResult, StableModel, _Record
 from .special_functions import (
     LANCZOS_G,
     LOG_PI,
@@ -483,31 +482,26 @@ def stable_density_values(
     return out.reshape(x.shape) if x.shape else out[0]
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(_Record):
     """Uniform samples of the log-return density used by the convolution sum."""
 
-    y_min: float
-    y_max: float
-    n_points: int
-    values: np.ndarray
+    __slots__ = ("y_min", "y_max", "n_points", "values")
 
-    def __post_init__(self) -> None:
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
-        if not (
-            math.isfinite(self.y_min)
-            and math.isfinite(self.y_max)
-            and self.y_max > self.y_min
-        ):
+    def __init__(
+        self, y_min: float, y_max: float, n_points: int, values: np.ndarray
+    ) -> None:
+        if n_points < 3:
+            raise ValueError(f"n_points must be >= 3, got {n_points}")
+        if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
             raise ValueError("need finite y_min < y_max")
-        if len(self.values) != self.n_points:
+        if len(values) != n_points:
             raise ValueError("values length must equal n_points")
-        lowest = float(np.min(self.values))
+        lowest = float(np.min(values))
         if not (lowest >= _NEGATIVITY_TOL):  # also catches NaN
             raise ValueError(
                 f"grid density negative beyond tolerance or NaN: {lowest:.3e}"
             )
+        self._store(y_min, y_max, n_points, values)
 
     @property
     def ys(self) -> np.ndarray:

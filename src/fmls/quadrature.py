@@ -10,7 +10,7 @@ the panels left whole carry no more error than the tolerance.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 

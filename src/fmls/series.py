@@ -25,16 +25,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .bs import bs_price
 from .errors import ConvergenceError, NumericalError, SeriesOverflowError
-from .model import OptionSpec, PricingResult, StableModel, log_moneyness
+from .model import OptionSpec, PricingResult, StableModel, _Record, log_moneyness
 from .special_functions import ln_gamma_real, reciprocal_gamma
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SeriesTable",
@@ -61,12 +56,15 @@ _IV_N_MAX = 40
 _IV_BLIND_RUN = 12
 
 
-@dataclass(frozen=True)
-class SeriesTable:
-    """Per-(n, m) terms and cumulative column partial sums."""
+class SeriesTable(_Record):
+    """Per-(n, m) terms and cumulative column partial sums, as numpy arrays:
+    ``terms`` of shape (n_max+1, m_max) holds term (n, m) at [n, m-1], and
+    ``partial_sums`` of shape (m_max,) is cumulative over columns."""
 
-    terms: np.ndarray  # shape (n_max+1, m_max), terms[n, m-1]
-    partial_sums: np.ndarray  # shape (m_max,), cumulative over columns
+    __slots__ = ("terms", "partial_sums")
+
+    def __init__(self, terms, partial_sums) -> None:
+        self._store(terms, partial_sums)
 
     @property
     def converged_price(self) -> float:

@@ -13,11 +13,12 @@ import fmls
 SRC = str(Path(fmls.__file__).resolve().parents[1])
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter on the same package as this one."""
+def run_fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter, started with ``flags``, on the same
+    package as this one."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -41,6 +42,13 @@ assert main(["implied-vol", *market, "--alpha", "1.7", "--target", "256"]) == 0
 assert "numpy" not in sys.modules, "the closed-form path loaded numpy"
 """
 
+# The records are plain classes and the annotations strings: nothing on the
+# closed-form path needs the modules that generate or inspect code.
+NO_INTROSPECTION = CLOSED_FORM + """
+loaded = sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))
+assert not loaded, f"the closed-form path loaded {loaded}"
+"""
+
 LAZY_ENGINES = """
 import sys
 
@@ -61,6 +69,12 @@ assert "numpy" in sys.modules
 
 def test_closed_form_path_loads_no_numpy():
     done = run_fresh(CLOSED_FORM)
+    assert done.returncode == 0, done.stderr
+
+
+def test_closed_form_path_loads_no_introspection_modules():
+    # -S: no site hook runs, so nothing preloads typing before fmls does.
+    done = run_fresh(NO_INTROSPECTION, "-S")
     assert done.returncode == 0, done.stderr
 
 

@@ -1,14 +1,17 @@
 """Market records, drift, and log-forward-moneyness."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fmls
+from fmls.bs import bs_price
 from fmls.charfn import gil_pelaez_price
-from fmls.greens import discretized_price
+from fmls.greens import DensityGrid, discretized_price
 from fmls.model import (
     OptionSpec,
     PricingResult,
@@ -16,7 +19,7 @@ from fmls.model import (
     log_moneyness,
     martingale_drift,
 )
-from fmls.series import price_series
+from fmls.series import SeriesTable, price_series
 
 # mpmath (mp.dps=50) evaluation of (0.2/sqrt(2))**1.7 / cos(0.85*pi)
 MU_02_17 = -0.04036403854693873
@@ -55,6 +58,16 @@ class TestOptionSpec:
 
     def test_negative_rate_allowed(self):
         OptionSpec(spot=100, strike=100, rate=-0.01, sigma=0.2, tau=1.0)
+
+    def test_stores_the_floats_it_checked(self):
+        fields = dict(strike=100.0, rate=0.01, sigma=0.2, tau=1.0)
+        spec = OptionSpec(spot="100", **fields)
+        assert type(spec.spot) is float and spec.spot == 100.0
+        assert spec == OptionSpec(spot=100.0, **fields)
+        model = StableModel.from_spec(spec, 1.7)
+        reference = OptionSpec(spot=100.0, **fields)
+        assert price_series(model, spec).price == price_series(model, reference).price
+        assert bs_price(spec) == bs_price(reference)
 
 
 class TestMartingaleDrift:
@@ -140,6 +153,12 @@ class TestStableModel:
         with pytest.raises(ValueError):
             StableModel(alpha=2.1, mu=-0.1)
 
+    def test_stores_the_floats_it_checked(self):
+        model = StableModel(alpha="1.7", mu=-0.01)
+        assert type(model.alpha) is float and model.alpha == 1.7
+        spec = spec_table1()
+        assert price_series(model, spec) == price_series(StableModel(1.7, -0.01), spec)
+
 
 def outcome(engine, model: StableModel, spec: OptionSpec):
     """Everything a pricing call returns, or the class of what it raised."""
@@ -206,6 +225,98 @@ class TestPricingResult:
             PricingResult(price=1.0, engine="nope", terms_used=3, error_estimate=0.0)
         with pytest.raises(ValueError):
             PricingResult(price=1.0, engine="series", terms_used=3, error_estimate=-1.0)
+
+
+GRID_VALUES = np.array([0.1, 0.4, 0.1])
+TABLE_TERMS = np.array([[1.0, 0.5], [-0.25, 0.125]])
+TABLE_SUMS = np.array([0.75, 1.375])
+
+# Each record with its fields in constructor order and one set of values.
+RECORDS = [
+    (OptionSpec, ("spot", "strike", "rate", "sigma", "tau"), (100.0, 110.0, 0.01, 0.2, 1.0)),
+    (StableModel, ("alpha", "mu"), (1.7, -0.02)),
+    (
+        PricingResult,
+        ("price", "engine", "terms_used", "error_estimate", "diagnostics"),
+        (1.5, "series", 200, 1e-9, {"columns_used": 8}),
+    ),
+    (SeriesTable, ("terms", "partial_sums"), (TABLE_TERMS, TABLE_SUMS)),
+    (DensityGrid, ("y_min", "y_max", "n_points", "values"), (-1.0, 1.0, 3, GRID_VALUES)),
+]
+HASHABLE = (OptionSpec, StableModel)
+
+
+def same_fields(record, names, values) -> bool:
+    """Whether ``record`` holds ``values``, arrays compared elementwise."""
+    return all(
+        np.array_equal(getattr(record, name), value)
+        if isinstance(value, np.ndarray)
+        else getattr(record, name) == value
+        for name, value in zip(names, values)
+    )
+
+
+@pytest.mark.parametrize(
+    "cls, names, values", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+class TestRecordSemantics:
+    """Each record is an immutable value: built by position or keyword,
+    compared and hashed by its fields, printed, copied and pickled."""
+
+    def test_positional_and_keyword_construction(self, cls, names, values):
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(names, values)))
+        assert same_fields(by_position, names, values)
+        assert same_fields(by_keyword, names, values)
+        assert by_position == by_keyword
+        with pytest.raises(TypeError):
+            cls(*values, values[-1])
+
+    def test_equality_and_hash_by_value(self, cls, names, values):
+        record = cls(*values)
+        assert record == cls(*values)
+        assert record != object()
+        if cls in HASHABLE:
+            assert hash(record) == hash(cls(*values))
+            assert {record: "x"}[cls(*values)] == "x"
+            changed = cls(*values[:-1], values[-1] * 2.0)
+            assert record != changed
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self, cls, names, values):
+        record = cls(*values)
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert same_fields(record, names, values)
+
+    def test_repr_lists_every_field(self, cls, names, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+    def test_copy_and_pickle_round_trip(self, cls, names, values):
+        record = cls(*values)
+        assert copy.copy(record) == record
+        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is cls
+            assert same_fields(clone, names, values)
+
+
+def test_repr_of_a_contract():
+    assert repr(OptionSpec(100, 110, 0.01, 0.2, 1)) == (
+        "OptionSpec(spot=100.0, strike=110.0, rate=0.01, sigma=0.2, tau=1.0)"
+    )
+
+
+def test_each_result_gets_its_own_diagnostics():
+    a, b = (PricingResult(1.0, "series", 3, 0.0) for _ in range(2))
+    assert a.diagnostics == {} and a.diagnostics is not b.diagnostics
+    a.diagnostics["key"] = 1
+    assert b.diagnostics == {}
 
 
 class TestPackage:
