@@ -12,9 +12,9 @@ Four engines share one set of market/model records:
 
 The closed forms need no numerical technique, and ``import fmls`` loads no
 numpy: ``price_series``, ``bs_price`` and ``implied_vol`` run on ``math``
-alone.  The numerical engines, the ``charfn``, ``greens`` and ``quadrature``
-submodules (and ``cli``), load with numpy on first use, through the package
-attributes or the names exported from them.
+alone.  The numerical engines, the ``charfn`` and ``greens`` submodules
+(and ``cli``), load with numpy on first use, through the package attributes
+or the names exported from them.
 """
 
 import importlib
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 # Submodules that load on first access, and the exported names they hold.
-_LAZY_MODULES = ("charfn", "cli", "greens", "quadrature")
+_LAZY_MODULES = ("charfn", "cli", "greens")
 _LAZY_NAMES = {
     "gil_pelaez_price": "charfn",
     "DensityGrid": "greens",

@@ -625,6 +625,11 @@ def discretized_price(
       by about that much;
     - the samples' roundoff floor weighted by the payoff.  Far in the right
       tail the sampled density is roundoff while the payoff grows like e^y.
+    - the martingale gap |S - F|, F the discounted forward
+      S e^{mu*tau} int e^y g(y) dy of the raw samples.  It bounds the
+      payoff-weighted mass the grid misses, which at long maturities or
+      high sigma lies past the right edge, where S e^y outweighs the light
+      right tail.
     A call is worth between 0 and the spot, so an estimate that is not
     below the spot, or a price more than the estimate above it, bounds
     nothing: those raise ``QuadratureError``.
@@ -650,11 +655,14 @@ def discretized_price(
     # A grid wide enough to overflow the payoff gives a non-finite estimate,
     # which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        payoff = np.maximum(
-            spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys) - spec.strike,
-            0.0,
-        )
+        forward = spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys)
+        payoff = np.maximum(forward - spec.strike, 0.0)
         price = discount * float(np.trapezoid(payoff * values, dx=grid.step))
+        # The martingale identity: the raw samples' discounted forward is S
+        # up to the forward the grid misses, at least the payoff it misses.
+        forward_gap = abs(
+            spec.spot - discount * float(np.trapezoid(forward * grid.values, dx=grid.step))
+        )
         coarse = grid.values[::2]  # n_points is odd: every other sample, step 2h
         coarse_price = discount * float(
             np.trapezoid(payoff[::2] * coarse, dx=2.0 * grid.step)
@@ -672,7 +680,7 @@ def discretized_price(
     if price < 0.0:
         diagnostics["negative_price_floored"] = True
         price = 0.0
-    err = kink_bias + resolution + abs(1.0 - raw_mass) * price + roundoff
+    err = kink_bias + resolution + abs(1.0 - raw_mass) * price + roundoff + forward_gap
     if not err < spec.spot or price - err > spec.spot:
         raise QuadratureError(
             f"discretized price {price:.6g} with error estimate {err:.3e} "

@@ -1,4 +1,5 @@
-"""Characteristic function properties and the Fourier-inversion engine."""
+"""Characteristic function properties, the adaptive Gauss-Kronrod rule and
+the Fourier-inversion engine."""
 
 import cmath
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from numpy.polynomial import polynomial as poly
 from scipy.integrate import quad
 
 from golden import (
@@ -18,7 +20,7 @@ from golden import (
 
 from fmls.bs import bs_price
 from fmls import charfn
-from fmls.charfn import char_fn, gil_pelaez_price
+from fmls.charfn import adaptive_gauss_kronrod, char_fn, gil_pelaez_price
 from fmls.errors import NumericalError, QuadratureError
 from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import price_series
@@ -66,6 +68,84 @@ class TestCharFn:
     def test_validation(self):
         with pytest.raises(ValueError):
             char_fn(complex(math.nan, 0.0), -0.04, 1.0, 1.7)
+
+
+# Tolerances of the rule's own tests, tighter than the engine's.
+TOLERANCES = {"_REL_TOL": 1e-10, "_ABS_TOL": 1e-12, "_MAX_SUBDIVISIONS": 200}
+
+
+def set_tolerances(monkeypatch, **overrides):
+    """Set the rule's constants to ``TOLERANCES`` updated by ``overrides``."""
+    for name, value in {**TOLERANCES, **overrides}.items():
+        monkeypatch.setattr(charfn, name, value)
+
+
+def counted(f):
+    """``f`` with a record of the number of rows of each call."""
+    calls = []
+
+    def wrapper(x):
+        assert x.ndim == 2 and x.shape[1] == 15
+        calls.append(x.shape[0])
+        return f(x)
+
+    return wrapper, calls
+
+
+class TestGaussKronrod:
+    def test_several_intervals_agree_with_scipy_quad(self, monkeypatch):
+        set_tolerances(monkeypatch)
+        cases = [
+            (lambda x: np.sin(3.0 * x) * np.exp(-x), [0.0], [4.0]),
+            (np.sqrt, [0.0], [2.0]),  # a derivative singularity at the left end
+            (lambda x: 1.0 / (1.0 + x * x), [-5.0, 0.0], [0.0, 5.0]),  # two panels that meet at 0
+            (lambda x: np.cos(40.0 * x), [0.0], [1.0]),
+        ]
+        for fn, a, b in cases:
+            f, calls = counted(fn)
+            value, error, evals = adaptive_gauss_kronrod(f, a, b)
+            assert isinstance(evals, int) and evals == 15 * sum(calls)
+            want = quad(lambda t: float(fn(np.array(t))), a[0], b[-1], limit=200, epsabs=1e-13)[0]
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-11)
+            assert error <= max(TOLERANCES["_ABS_TOL"], TOLERANCES["_REL_TOL"] * abs(value))
+        assert len(calls) > 1  # cos(40x) needs refining
+
+    def test_the_tolerance_applies_to_the_whole_integral(self, monkeypatch):
+        # exp(-x) converges on its panel at once; cos(40x) on the other needs
+        # bisections, and those stay on its panel.
+        set_tolerances(monkeypatch)
+        f, calls = counted(lambda x: np.where(x < 1.0, np.exp(-x), np.cos(40.0 * (x - 1.0))))
+        value, _, _ = adaptive_gauss_kronrod(f, [0.0, 1.0], [1.0, 2.0])
+        assert value == pytest.approx(1.0 - math.exp(-1.0) + math.sin(40.0) / 40.0, abs=1e-12)
+        assert calls[0] == 2 and len(calls) > 1
+        set_tolerances(monkeypatch, _MAX_SUBDIVISIONS=1)
+        with pytest.raises(QuadratureError, match="1 subdivisions"):
+            adaptive_gauss_kronrod(f, [0.0, 1.0], [1.0, 2.0])
+
+    def test_one_panel_integrates_polynomials_to_degree_22_exactly(self, monkeypatch):
+        set_tolerances(monkeypatch, _REL_TOL=0.0, _ABS_TOL=math.inf, _MAX_SUBDIVISIONS=0)
+        rng = np.random.default_rng(22)
+        lo, hi = -1.0, 3.0
+        for degree in range(23):
+            c = rng.uniform(-1.0, 1.0, degree + 1)
+            f, calls = counted(lambda x: poly.polyval(x, c))
+            value, _, evals = adaptive_gauss_kronrod(f, [lo], [hi])
+            assert calls == [1] and evals == 15  # no bisection
+            antiderivative = poly.polyint(c)
+            want = poly.polyval(hi, antiderivative) - poly.polyval(lo, antiderivative)
+            scale = poly.polyval(hi, poly.polyint(np.abs(c))) * (hi - lo)
+            assert abs(value - want) <= 1e-14 * max(scale, 1.0)
+
+    def test_an_interval_that_cannot_converge_raises(self, monkeypatch):
+        # 1/x is not integrable on [0, 1].
+        set_tolerances(monkeypatch)
+        with pytest.raises(QuadratureError):
+            adaptive_gauss_kronrod(lambda x: 1.0 / x, [0.0], [1.0])
+
+    def test_rejects_an_empty_panel(self, monkeypatch):
+        set_tolerances(monkeypatch)
+        with pytest.raises(ValueError):
+            adaptive_gauss_kronrod(lambda x: x, [0.0, 1.0], [1.0, 1.0])
 
 
 class TestGilPelaez:

@@ -14,6 +14,7 @@ from golden import DISCRETIZATION_ROW_ITM, DISCRETIZATION_ROW_OTM
 from paper_checks import cahen_mellin_exp
 
 from fmls import greens
+from fmls.bs import bs_price
 from fmls.charfn import gil_pelaez_price
 from fmls.errors import NumericalError, QuadratureError
 from fmls.greens import (
@@ -363,3 +364,26 @@ class TestDiscretizedPrice:
             return
         assert 0.0 <= r.error_estimate < spot
         assert abs(r.price - want) <= r.error_estimate + 1e-6 * strike
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moneyness=st.floats(0.5, 2.0),
+        log_tau=st.floats(math.log(10.0), math.log(1000.0)),
+        sigma=st.floats(0.5, 3.0),
+    )
+    # Priced 92.53 with an estimate of 0.42 before the estimate counted the
+    # right tail's payoff-weighted mass; Black-Scholes gives 99.85.
+    @example(moneyness=1.0, log_tau=math.log(10.0), sigma=2.0)
+    def test_long_maturities_against_black_scholes(self, moneyness, log_tau, sigma):
+        # Wide densities put price in the right tail past the grid's edge,
+        # where S e^y outweighs the light tail.  At alpha = 2 Black-Scholes
+        # is exact: a price within its estimate plus 1e-6 of the strike, or
+        # a NumericalError.
+        strike = 100.0
+        tau = math.exp(log_tau)
+        s = OptionSpec(spot=strike * moneyness, strike=strike, rate=0.01, sigma=sigma, tau=tau)
+        try:
+            r = discretized_price(StableModel.from_spec(s, 2.0), s)
+        except NumericalError:
+            return
+        assert abs(r.price - bs_price(s)) <= r.error_estimate + 1e-6 * strike

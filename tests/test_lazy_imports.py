@@ -54,7 +54,7 @@ import sys
 
 import fmls
 
-for module in ("charfn", "greens", "quadrature", "cli"):
+for module in ("charfn", "greens", "cli"):
     assert f"fmls.{module}" not in sys.modules, f"import fmls loaded fmls.{module}"
 assert callable(fmls.charfn.gil_pelaez_price)
 assert callable(fmls.greens.discretized_price)
@@ -62,7 +62,7 @@ missing = [name for name in fmls.__all__ if getattr(fmls, name, None) is None]
 assert not missing, missing
 unlisted = sorted(set(fmls.__all__) - set(dir(fmls)))
 assert not unlisted, unlisted
-assert {"charfn", "greens", "quadrature", "cli"} <= set(dir(fmls))
+assert {"charfn", "greens", "cli"} <= set(dir(fmls))
 assert "numpy" in sys.modules
 """
 

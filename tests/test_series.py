@@ -88,6 +88,8 @@ class TestSeriesTerm:
             series_term(m, s, 0, 0)
         with pytest.raises(ValueError):
             series_term(m, s, 65, 1)
+        with pytest.raises(ValueError):
+            series_term(m, s, 0, 65)
 
     def test_overflow_is_an_error(self):
         s = OptionSpec(spot=3800, strike=4000, rate=0.01, sigma=1000.0, tau=1000.0)
