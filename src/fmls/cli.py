@@ -133,22 +133,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for engine in engines:
         if engine not in _ENGINE_FLAGS:
             raise ValueError(f"unknown engine {engine!r}; pick from {_ENGINE_FLAGS}")
-    rows = []
+    rows, cells = [], []
     for spot in spots:
         spec = OptionSpec(
             spot=spot, strike=args.strike, rate=args.rate, sigma=args.sigma, tau=args.tau
         )
         for engine in engines:
-            prices: list[float | None] = []
-            notes: list[str] = []
-            for alpha in alphas:
-                try:
-                    prices.append(_price_once(engine, spec, alpha).price)
-                    notes.append("")
-                except (ValueError, ArithmeticError) as exc:
-                    prices.append(None)
-                    notes.append(str(exc))
-            rows.append({"spot": spot, "engine": engine, "prices": prices, "notes": notes})
+            row = {"spot": spot, "engine": engine, "prices": [], "notes": []}
+            rows.append(row)
+            cells.append((spec, engine, row))
+    # Alpha-major, so the density engine prices each alpha's cells in a row
+    # on the contour its first cell evaluated.
+    for alpha in alphas:
+        for spec, engine, row in cells:
+            try:
+                row["prices"].append(_price_once(engine, spec, alpha).price)
+                row["notes"].append("")
+            except (ValueError, ArithmeticError) as exc:
+                row["prices"].append(None)
+                row["notes"].append(str(exc))
     if args.format == "json":
         payload = {"alphas": alphas, "rows": rows}
         print(json.dumps(payload))

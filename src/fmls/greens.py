@@ -26,23 +26,24 @@ probe's own nodes show that the ratio has decayed by y = 400.  The step is
 then halved until the result settles, by nested refinement: each halving
 evaluates the ratio only at the new odd nodes and reuses the previous
 level's sum.  Both branches share the log-Gamma difference of each node,
-and each branch keeps the ratios of its levels, in a contour dict keyed by
-(alpha, c1).  One pricing call hands one dict to every grid it builds, so a
-widened grid evaluates no level a narrower one has: every contour node
-costs one log-Gamma difference per pricing call.  Each run of new nodes
+and each branch keeps the ratios of its levels.  A per-thread slot keeps
+the default contours (c1 = (1 - alpha)/2 and 0.5) of the last alpha seen,
+so calls at one alpha, every grid of a price and the prices after it,
+evaluate each contour node once between them.  Each run of new nodes
 costs one call to each kernel: one log-Gamma call takes 1 - t and
 1 - t/alpha together, one log-sine call rho*t and t/alpha.  A paper price
-makes three runs: the probe's first 32 nodes, its extrapolated run and the
-one halving.  The oscillatory sum is taken in real arithmetic, by angle
-addition over blocks of evenly spaced nodes: cosines and sines of about
-2*sqrt(N) phases per point instead of N; the first level and the first
-halving share one set of tables.  Gamma ratios are assembled in log space
-(direct products overflow for moderate |y|).
+on a cold slot makes three runs: the probe's first 32 nodes, its
+extrapolated run and the one halving.  The oscillatory sum is taken in
+real arithmetic, by angle addition over blocks of evenly spaced nodes:
+cosines and sines of about 2*sqrt(N) phases per point instead of N; the
+first level and the first halving share one set of tables.  Gamma ratios
+are assembled in log space (direct products overflow for moderate |y|).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -248,6 +249,20 @@ class _Contour:
         return _ROUNDOFF * total / (self.alpha * math.pi) * ax ** (self.c1 - 1.0)
 
 
+# Per thread: the last alpha seen and its default contours, keyed by c1.
+_SLOT = threading.local()
+
+
+def _slot_contour(alpha: float, c1: float) -> _Contour:
+    """The contour of (alpha, c1) in this thread's slot, emptied first when
+    alpha is not the slot's."""
+    if getattr(_SLOT, "alpha", None) != alpha:
+        _SLOT.alpha, _SLOT.contours = alpha, {}
+    if c1 not in _SLOT.contours:
+        _SLOT.contours[c1] = _Contour(alpha, c1)
+    return _SLOT.contours[c1]
+
+
 def _phase_sum(
     log_x: np.ndarray, dy: float, runs: list[tuple[float, np.ndarray]]
 ) -> np.ndarray:
@@ -361,10 +376,12 @@ def _half_line_transform(
     Each level's phase sum is taken by angle addition (:func:`_phase_sum`).
     The step is halved until the result moves by less than 1e-11 (or than
     its roundoff floor, which must then stay under 1e-11 or 1e-9 of the
-    result, or it raises).  The error of a level falls like e^{-2*pi*d/h},
-    d the distance from the contour to the ratio's nearest singularity: on
-    the density's default contour (d = (1 + alpha)/2) the first halving
-    confirms the h = 0.25 level, where c1 = 0.5 (d = 0.5) takes two.
+    result, or it raises); like :meth:`_Contour.floor`, it weights each
+    node by 1 + y_k |log_x|, for the roundoff of its phase.  The error of a
+    level falls like e^{-2*pi*d/h}, d the distance from the contour to the
+    ratio's nearest singularity: on the density's default contour
+    (d = (1 + alpha)/2) the first halving confirms the h = 0.25 level, where
+    c1 = 0.5 (d = 0.5) takes two.
     """
     levels = [] if levels is None else levels
     if not levels:
@@ -376,9 +393,11 @@ def _half_line_transform(
         levels.append(ratio_fn(0.5 * h * np.arange(1, 2 * n, 2)))
     # The first level and the always-taken first halving share one phase sum.
     total, odd = _phase_sum(log_x, h, [(0.0, weighted), (0.5 * h, levels[1])]).T
-    # Trapezoid sum of |ratio|: the roundoff floor of the (possibly
-    # amplified) sum; convergence below it cannot be demanded.
+    # Trapezoid sums of |ratio| and |ratio| * y: the roundoff floor of the
+    # (possibly amplified) sum; convergence below it cannot be demanded.
     abs_total = float(np.sum(np.abs(weighted)))
+    abs_moment = float(np.dot(np.abs(weighted), h * np.arange(n + 1)))
+    abs_log_x = np.abs(log_x)
     current = prefactor * total
     for halving in range(1, _MAX_HALVINGS + 1):
         h *= 0.5
@@ -388,10 +407,12 @@ def _half_line_transform(
         if halving > 1:
             odd = _phase_sum(log_x, 2.0 * h, [(h, ratio)])[:, 0]
         total = 0.5 * total + h * odd
-        abs_total = 0.5 * abs_total + h * float(np.sum(np.abs(ratio)))
+        abs_ratio = np.abs(ratio)
+        abs_total = 0.5 * abs_total + h * float(np.sum(abs_ratio))
+        abs_moment = 0.5 * abs_moment + h * float(np.dot(abs_ratio, h * np.arange(1, 2 * n, 2)))
         n *= 2
         refined = prefactor * total
-        floor = _ROUNDOFF * np.abs(prefactor) * abs_total
+        floor = _ROUNDOFF * np.abs(prefactor) * (abs_total + abs_log_x * abs_moment)
         if np.all(np.abs(refined - current) < np.maximum(_STEP_TOL, floor)):
             if np.any(floor > np.maximum(_STEP_TOL, _FLOOR_SHARE * np.abs(refined))):
                 raise QuadratureError(
@@ -406,11 +427,7 @@ def _half_line_transform(
 
 
 def stable_density_values(
-    x: np.ndarray,
-    alpha: float,
-    c1: float | None = None,
-    *,
-    contours: dict[tuple[float, float], _Contour] | None = None,
+    x: np.ndarray, alpha: float, c1: float | None = None
 ) -> np.ndarray:
     """Vectorized density of the scaled log return at the points ``x``; a
     scalar ``x`` gives a scalar.
@@ -427,10 +444,10 @@ def stable_density_values(
     (equal to 1/(2 sqrt(pi)) in the Gaussian case).  A non-finite point
     raises ``ValueError``.
 
-    ``contours`` holds the contour data, keyed by (alpha, c1): log-Gamma
-    differences, branch ratios and their levels.  Calls handed the same
-    dict evaluate each contour node once between them.  ``None`` gives the
-    call a fresh dict.
+    The default contours come from this thread's slot, which keeps the last
+    alpha's log-Gamma differences, branch ratios and levels: calls at one
+    alpha evaluate each contour node once between them.  An explicit ``c1``
+    evaluates a contour of its own, which is not kept.
     """
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
@@ -447,32 +464,27 @@ def stable_density_values(
     # there, while the contour integrand's oscillation diverges like log|X|.
     near_zero = np.abs(flat) <= _NEAR_ZERO
     out[near_zero] = reciprocal_gamma(1.0 - 1.0 / alpha) / alpha
-    contours = {} if contours is None else contours
-
-    def contour(c: float) -> _Contour:
-        if (alpha, c) not in contours:
-            contours[alpha, c] = _Contour(alpha, c)
-        return contours[alpha, c]
-
+    own = None if default else _Contour(alpha, c1)  # not kept
     for negative in (False, True):
         mask = ((flat < 0.0) if negative else (flat > 0.0)) & ~near_zero
         if not np.any(mask):
             continue
         ax = np.abs(flat[mask])
-        split = 0.0
+        small = np.zeros(ax.size, dtype=bool)
         if default:
-            # The default contour's floor passes the step tolerance below split.
-            split = (contour(c1).floor(negative, 1.0) / _STEP_TOL) ** (1.0 / (1.0 - c1))
-        small = ax < split
+            # Below |X| = 1 the default contour's floor grows as |X| falls;
+            # where it passes the step tolerance, the point keeps c1 = 0.5.
+            small = (ax < 1.0) & (_slot_contour(alpha, c1).floor(negative, ax) > _STEP_TOL)
         values = np.empty(ax.size)
         for part, c in ((~small, c1), (small, _SMALL_X_C1)):
             if np.any(part):
+                contour = _slot_contour(alpha, c) if default else own
                 values[part] = _half_line_transform(
                     np.log(ax[part]),
-                    contour(c).ratio[negative],
+                    contour.ratio[negative],
                     # The x-power X^{t-1} carries the real factor |X|^{c-1}.
                     prefactor=ax[part] ** (c - 1.0) / (alpha * math.pi),
-                    levels=contour(c).levels[negative],
+                    levels=contour.levels[negative],
                 )
         out[mask] = values
     bad = out < _NEGATIVITY_TOL
@@ -532,16 +544,13 @@ def build_density_grid(
     y_max: float | None = None,
     n_points: int = 4001,
     c1: float | None = None,
-    *,
-    contours: dict[tuple[float, float], _Contour] | None = None,
 ) -> DensityGrid:
     """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
 
     Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
     of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
-    default, and ``contours`` is its contour dict.  The values are not
-    renormalized; :func:`leaking_edge` tells whether the bounds cut off
-    visible tail mass.
+    default.  The values are not renormalized; :func:`leaking_edge` tells
+    whether the bounds cut off visible tail mass.
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
@@ -555,7 +564,7 @@ def build_density_grid(
     if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
         raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
     ys = np.linspace(y_min, y_max, n_points)
-    values = stable_density_values(ys / scale, alpha, c1, contours=contours) / scale
+    values = stable_density_values(ys / scale, alpha, c1) / scale
     return DensityGrid(y_min=float(y_min), y_max=float(y_max), n_points=n_points, values=values)
 
 
@@ -570,11 +579,7 @@ def leaking_edge(grid: DensityGrid, alpha: float, mu: float, tau: float) -> floa
 
 
 def default_pricing_grid(
-    model: StableModel,
-    spec: OptionSpec,
-    refine: int = 0,
-    *,
-    contours: dict[tuple[float, float], _Contour] | None = None,
+    model: StableModel, spec: OptionSpec, refine: int = 0
 ) -> DensityGrid:
     """Grid of the convolution pricer: 140 * 4**refine intervals.
 
@@ -583,17 +588,15 @@ def default_pricing_grid(
     toward the series price.  While :func:`leaking_edge` finds the edge
     leaking, the half-width grows by 1.5, up to three times.  The samples
     are those of :func:`build_density_grid`, not renormalized.  Every build
-    of one call reads one contour dict, so a widened build evaluates no
-    contour node, branch ratio or first level again and pays only for its
-    phase sums.  ``contours`` is that dict; ``None`` gives the call a fresh
-    one, dropped when it returns.
+    reads the default contours of the thread's slot, so a widened build
+    evaluates no contour node, branch ratio or first level again and pays
+    only for its phase sums.
     """
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")
     half_width = _PRICE_HALF_WIDTH + 6.0 * refine
     n_points = (_PRICE_POINTS - 1) * 4**refine + 1
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
-    contours = {} if contours is None else contours
     for widenings in range(4):
         grid = build_density_grid(
             model.alpha,
@@ -602,7 +605,6 @@ def default_pricing_grid(
             y_min=-half_width * scale,
             y_max=half_width * scale,
             n_points=n_points,
-            contours=contours,
         )
         if widenings == 3 or leaking_edge(grid, model.alpha, model.mu, spec.tau) is None:
             return grid
@@ -636,8 +638,7 @@ def discretized_price(
     The diagnostics report ``raw_mass``, the grid's trapezoid mass, its
     ``half_width`` in scale units and its ``widenings``.
     """
-    contours: dict[tuple[float, float], _Contour] = {}
-    grid = default_pricing_grid(model, spec, refine, contours=contours)
+    grid = default_pricing_grid(model, spec, refine)
     raw_mass = grid.mass()
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
     half_width = grid.y_max / scale
@@ -646,8 +647,9 @@ def discretized_price(
     values = grid.values / raw_mass
     # The samples' roundoff floor on the default contour; it bounds the floor
     # of the points near zero that keep c1 = 0.5 from above.
-    contour = contours[model.alpha, 0.5 * (1.0 - model.alpha)]
-    x = grid.ys / scale
+    contour = _slot_contour(model.alpha, 0.5 * (1.0 - model.alpha))
+    ys = grid.ys
+    x = ys / scale
     floor = np.zeros(x.size)
     for negative, side in ((False, x > _NEAR_ZERO), (True, x < -_NEAR_ZERO)):
         floor[side] = contour.floor(negative, np.abs(x[side])) / scale
@@ -655,7 +657,7 @@ def discretized_price(
     # A grid wide enough to overflow the payoff gives a non-finite estimate,
     # which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        forward = spec.spot * np.exp((spec.rate + model.mu) * spec.tau + grid.ys)
+        forward = spec.spot * np.exp((spec.rate + model.mu) * spec.tau + ys)
         payoff = np.maximum(forward - spec.strike, 0.0)
         price = discount * float(np.trapezoid(payoff * values, dx=grid.step))
         # The martingale identity: the raw samples' discounted forward is S

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fmls
+from fmls import cli, greens
 from fmls.cli import main
 from fmls.charfn import gil_pelaez_price
 from fmls.greens import discretized_price
@@ -313,6 +314,42 @@ class TestCompareCommand:
         )
         assert code == 0
         assert row["prices"] == [json.loads(out)["price"]]
+
+    def test_alpha_major_order_prints_the_spot_major_output(self, capsys, monkeypatch):
+        # The cells are priced alpha-major, so the density engine prices one
+        # alpha's cells in a row; the output is byte for byte that of the
+        # spot -> engine -> alpha order, failed cells and repeats included.
+        spots, alphas = [3800.0, 4200.0, 3800.0], [1.5, 2.0, 1.5, 1.01]
+        engines = ["series", "gilpelaez", "discretization"]
+        price_once = cli._price_once
+        order = []
+
+        def recording(engine, spec, alpha):
+            order.append(alpha)
+            return price_once(engine, spec, alpha)
+
+        monkeypatch.setattr(cli, "_price_once", recording)
+        code, out, _ = run_main(
+            capsys, ["compare", "--spots", "3800,4200,3800", "--alphas", "1.5,2.0,1.5,1.01",
+                     "--format", "json"],
+        )
+        assert code == 0
+        assert order == [alpha for alpha in alphas for _ in range(9)]
+        vars(greens._SLOT).clear()
+        rows = []
+        for spot in spots:
+            spec = OptionSpec(spot=spot, strike=4000.0, rate=0.01, sigma=0.2, tau=1.0)
+            for engine in engines:
+                prices, notes = [], []
+                for alpha in alphas:
+                    try:
+                        prices.append(price_once(engine, spec, alpha).price)
+                        notes.append("")
+                    except (ValueError, ArithmeticError) as exc:
+                        prices.append(None)
+                        notes.append(str(exc))
+                rows.append({"spot": spot, "engine": engine, "prices": prices, "notes": notes})
+        assert out == json.dumps({"alphas": alphas, "rows": rows}) + "\n"
 
     def test_unknown_engine(self, capsys):
         code, _, err = run_main(capsys, ["compare", "--engines", "montecarlo"])

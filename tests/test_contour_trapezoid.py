@@ -1,9 +1,12 @@
 """Contour trapezoid: the nested transform against per-level re-evaluation,
-its work, the blocked phase sum against the direct one, and the
-negative-branch ratio against its four-Gamma form."""
+its work, the per-thread slot that keeps the last alpha's contour, the
+blocked phase sum against the direct one, and the negative-branch ratio
+against its four-Gamma form."""
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +158,7 @@ def test_both_branches_share_each_contour_node(monkeypatch):
     model, spec = _paper_model(2.0)
     grid = greens.default_pricing_grid(model, spec)
     scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
+    vars(greens._SLOT).clear()  # the grid's build left alpha = 2 warm
     args = []
     monkeypatch.setattr(greens, "_loggamma_vec", _recording(args, _loggamma_vec))
     greens.stable_density_values(grid.ys / scale, 2.0)
@@ -169,6 +173,13 @@ def test_both_branches_share_each_contour_node(monkeypatch):
     assert np.unique(points).size == points.size
 
 
+def _count_kernels(monkeypatch):
+    gammas, sines = [], []
+    monkeypatch.setattr(greens, "_loggamma_vec", _recording(gammas, _loggamma_vec))
+    monkeypatch.setattr(greens, "_log_sinpi_vec", _recording(sines, _log_sinpi_vec))
+    return gammas, sines
+
+
 @pytest.mark.parametrize("alpha", [1.5, 1.6, 1.7, 1.8, 1.9, 2.0])
 def test_one_call_per_kernel_per_contour_run_of_a_paper_price(monkeypatch, alpha):
     # A paper price evaluates its contour in three runs, the probe's 32
@@ -176,9 +187,7 @@ def test_one_call_per_kernel_per_contour_run_of_a_paper_price(monkeypatch, alpha
     # one log-Gamma call and one log-sine call.  The grid widened at
     # alpha <= 1.6 reads the first build's contour.
     model, spec = _paper_model(alpha)
-    gammas, sines = [], []
-    monkeypatch.setattr(greens, "_loggamma_vec", _recording(gammas, _loggamma_vec))
-    monkeypatch.setattr(greens, "_log_sinpi_vec", _recording(sines, _log_sinpi_vec))
+    gammas, sines = _count_kernels(monkeypatch)
     result = greens.discretized_price(model, spec)
     assert result.diagnostics["widenings"] == (1 if alpha <= 1.6 else 0)
     assert len(gammas) == 3
@@ -199,7 +208,7 @@ def test_a_widened_price_evaluates_each_contour_node_once(monkeypatch):
     build = greens.build_density_grid
 
     def counting(*a, **kw):
-        builds.append((a, {k: v for k, v in kw.items() if k != "contours"}))
+        builds.append((a, kw))
         return build(*a, **kw)
 
     monkeypatch.setattr(greens, "_loggamma_vec", _recording(args, _loggamma_vec))
@@ -209,11 +218,112 @@ def test_a_widened_price_evaluates_each_contour_node_once(monkeypatch):
     points = np.concatenate(args)
     assert np.unique(points).size == points.size
     # Here the wider grid needs no node the first did not: the price costs
-    # the log-Gamma points of one fresh build at the final bounds.
+    # the log-Gamma points of one build at the final bounds on a cold slot.
     args.clear()
+    vars(greens._SLOT).clear()
     a, kw = builds[-1]
     build(*a, **kw)
     assert np.concatenate(args).size == points.size
+
+
+_PAPER_CELLS = [
+    (alpha, spot) for alpha in (1.5, 1.6, 1.7, 1.8, 1.9, 2.0) for spot in (3800.0, 4200.0)
+]
+
+
+def _paper_price(alpha, spot):
+    spec = OptionSpec(spot=spot, strike=4000, rate=0.01, sigma=0.2, tau=1.0)
+    return greens.discretized_price(StableModel.from_spec(spec, alpha), spec)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.7, 2.0])
+def test_a_warm_price_evaluates_no_contour_node(monkeypatch, alpha):
+    gammas, sines = _count_kernels(monkeypatch)
+    cold = _paper_price(alpha, 3800.0)
+    assert (len(gammas), len(sines)) == (3, 3)
+    # The same price again, and the other spot, read the slot's contour.
+    for spot in (3800.0, 4200.0, 3800.0):
+        gammas.clear()
+        sines.clear()
+        warm = _paper_price(alpha, spot)
+        assert (gammas, sines) == ([], [])
+    assert warm == cold
+
+
+def test_a_new_alpha_replaces_the_slot(monkeypatch):
+    gammas, _ = _count_kernels(monkeypatch)
+    _paper_price(1.7, 3800.0)
+    _paper_price(1.8, 3800.0)
+    assert greens._SLOT.alpha == 1.8
+    assert {c.alpha for c in greens._SLOT.contours.values()} == {1.8}
+    gammas.clear()
+    _paper_price(1.7, 3800.0)  # evicted: the contour is evaluated again
+    assert len(gammas) == 3
+
+
+def test_an_explicit_c1_is_not_kept(monkeypatch):
+    gammas, _ = _count_kernels(monkeypatch)
+    x = np.concatenate([-np.logspace(-6.0, 1.0, 8), np.logspace(-6.0, 1.0, 8)])
+    greens.stable_density_values(x, 1.7, c1=0.3)
+    assert not vars(greens._SLOT)
+    default = greens.stable_density_values(x, 1.7)
+    # The default contour and, for the points nearest zero, c1 = 0.5.
+    kept = dict(greens._SLOT.contours)
+    assert sorted(kept) == [0.5 * (1.0 - 1.7), 0.5]
+    for c1 in (0.3, 0.5):
+        gammas.clear()
+        greens.stable_density_values(x, 1.7, c1=c1)
+        assert gammas  # a contour of its own, evaluated afresh
+    assert greens._SLOT.contours == kept
+    assert all(greens._SLOT.contours[c] is kept[c] for c in kept)
+    np.testing.assert_array_equal(greens.stable_density_values(x, 1.7), default)
+
+
+def test_each_thread_has_its_own_slot():
+    _paper_price(1.7, 3800.0)
+    kept = dict(greens._SLOT.contours)
+    seen = []
+
+    def other():
+        seen.append(dict(vars(greens._SLOT)))
+        _paper_price(1.8, 3800.0)
+        seen.append(greens._SLOT.alpha)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [{}, 1.8]
+    assert greens._SLOT.alpha == 1.7
+    assert all(greens._SLOT.contours[c] is kept[c] for c in kept)
+
+
+def test_threads_pricing_concurrently_match_the_serial_prices():
+    serial = [_paper_price(*cell) for cell in _PAPER_CELLS]
+    # Each thread starts at another cell, so the threads' slots hold
+    # different alphas; a short switch interval interleaves them often.
+    starts = [0, 3, 6, 9]
+    barrier = threading.Barrier(len(starts))
+    got = {}
+
+    def run(start):
+        barrier.wait(timeout=60)
+        cells = _PAPER_CELLS[start:] + _PAPER_CELLS[:start]
+        got[start] = [_paper_price(*cell) for cell in cells * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(start,)) for start in starts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for start in starts:
+        assert got[start] == (serial[start:] + serial[:start]) * 2
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.7])

@@ -110,6 +110,8 @@ class TestStableDensity:
         ),
         signs=st.lists(st.booleans(), min_size=8, max_size=8),
     )
+    # A point the default contour's phase roundoff sends to c1 = 0.5.
+    @example(alpha=1.0625, log_mag=[-6.0], signs=[False] * 8)
     def test_default_contour_matches_c1_half(self, alpha, log_mag, signs):
         x = np.array(
             [math.exp(v) * (-1.0 if neg else 1.0) for v, neg in zip(log_mag, signs)]
@@ -125,6 +127,16 @@ class TestStableDensity:
             assert default is None and half is None
         else:
             assert float(np.max(np.abs(default - half))) <= 1e-9
+
+    def test_the_step_test_counts_the_phase_roundoff(self):
+        # At alpha = 1.0625 and X = e^-6 the roundoff of the default
+        # contour's phases, y_k |log X| per node, lifts its floor above 1e-9
+        # of the density: the contour raises, and the default call, which
+        # routes points by the same floor, prices the point on c1 = 0.5.
+        alpha, x = 1.0625, math.exp(-6.0)
+        with pytest.raises(QuadratureError, match="lost to roundoff"):
+            stable_density_values(x, alpha, 0.5 * (1.0 - alpha))
+        assert stable_density_values(x, alpha) == stable_density_values(x, alpha, 0.5)
 
     def test_against_fourier_oracle(self):
         assert stable_density_values(0.5, 1.7) == pytest.approx(G17_AT_HALF, abs=1e-6)
