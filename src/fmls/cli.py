@@ -143,15 +143,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             rows.append(row)
             cells.append((spec, engine, row))
     # Alpha-major, so the density engine prices each alpha's cells in a row
-    # on the contour its first cell evaluated.
+    # on the contour and grids its first cell evaluated.
     for alpha in alphas:
         for spec, engine, row in cells:
             try:
-                row["prices"].append(_price_once(engine, spec, alpha).price)
-                row["notes"].append("")
+                result = _price_once(engine, spec, alpha)
             except (ValueError, ArithmeticError) as exc:
-                row["prices"].append(None)
-                row["notes"].append(str(exc))
+                price, note = None, str(exc)
+            else:
+                price, err = result.price, result.error_estimate
+                # A nonzero estimate not below the price bounds nothing.
+                if err < price or err == 0.0:
+                    note = ""
+                else:
+                    note = f"error estimate {err:.3e} is not below the price {price:.6g}"
+                    price = None
+            row["prices"].append(price)
+            row["notes"].append(note)
     if args.format == "json":
         payload = {"alphas": alphas, "rows": rows}
         print(json.dumps(payload))

@@ -29,7 +29,11 @@ level's sum.  Both branches share the log-Gamma difference of each node,
 and each branch keeps the ratios of its levels.  A per-thread slot keeps
 the default contours (c1 = (1 - alpha)/2 and 0.5) of the last alpha seen,
 so calls at one alpha, every grid of a price and the prices after it,
-evaluate each contour node once between them.  Each run of new nodes
+evaluate each contour node once between them.  The slot also keeps the
+default-contour grids of the last (alpha, mu, tau, n_points) built, up to
+four widths.  A grid depends on neither spot, strike nor rate, so after
+the first price of one model and maturity, every other contract reads the
+kept grids and takes no phase sum.  Each run of new nodes
 costs one call to each kernel: one log-Gamma call takes 1 - t and
 1 - t/alpha together, one log-sine call rho*t and t/alpha.  A paper price
 on a cold slot makes three runs: the probe's first 32 nodes, its
@@ -249,8 +253,11 @@ class _Contour:
         return _ROUNDOFF * total / (self.alpha * math.pi) * ax ** (self.c1 - 1.0)
 
 
-# Per thread: the last alpha seen and its default contours, keyed by c1.
+# Per thread: the last alpha seen and its default contours, keyed by c1;
+# and the default-contour grids of the last (alpha, mu, tau, n_points)
+# built, keyed by their bounds: at most _KEPT_GRIDS of them, read-only.
 _SLOT = threading.local()
+_KEPT_GRIDS = 4  # a pricing grid's widths: its first and three widenings
 
 
 def _slot_contour(alpha: float, c1: float) -> _Contour:
@@ -261,6 +268,15 @@ def _slot_contour(alpha: float, c1: float) -> _Contour:
     if c1 not in _SLOT.contours:
         _SLOT.contours[c1] = _Contour(alpha, c1)
     return _SLOT.contours[c1]
+
+
+def _slot_grids(alpha: float, mu: float, tau: float, n_points: int) -> dict:
+    """The grids of (alpha, mu, tau, n_points) in this thread's slot, keyed
+    by (y_min, y_max), emptied first when the model is not the slot's."""
+    model = (alpha, mu, tau, n_points)
+    if getattr(_SLOT, "grid_model", None) != model:
+        _SLOT.grid_model, _SLOT.grids = model, {}
+    return _SLOT.grids
 
 
 def _phase_sum(
@@ -551,6 +567,12 @@ def build_density_grid(
     of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
     default.  The values are not renormalized; :func:`leaking_edge` tells
     whether the bounds cut off visible tail mass.
+
+    A grid on the default contour is kept in this thread's slot, and the
+    same call again returns it, not a copy: its ``values`` are read-only.
+    The slot holds the grids of one (alpha, mu, tau, n_points), the last
+    four bounds built; another model empties it.  An explicit ``c1`` grid
+    is built afresh and not kept.
     """
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
@@ -563,9 +585,19 @@ def build_density_grid(
         y_max = _GRID_HALF_WIDTH * scale
     if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
         raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
+    bounds = float(y_min), float(y_max)
+    kept = {} if c1 is not None else _slot_grids(alpha, mu, tau, n_points)
+    if bounds in kept:
+        return kept[bounds]
     ys = np.linspace(y_min, y_max, n_points)
     values = stable_density_values(ys / scale, alpha, c1) / scale
-    return DensityGrid(y_min=float(y_min), y_max=float(y_max), n_points=n_points, values=values)
+    grid = DensityGrid(*bounds, n_points=n_points, values=values)
+    if c1 is None:
+        values.setflags(write=False)
+        if len(kept) == _KEPT_GRIDS:
+            del kept[next(iter(kept))]  # the oldest
+        kept[bounds] = grid
+    return grid
 
 
 def leaking_edge(grid: DensityGrid, alpha: float, mu: float, tau: float) -> float | None:
@@ -590,7 +622,9 @@ def default_pricing_grid(
     are those of :func:`build_density_grid`, not renormalized.  Every build
     reads the default contours of the thread's slot, so a widened build
     evaluates no contour node, branch ratio or first level again and pays
-    only for its phase sums.
+    only for its phase sums.  Each width is a grid the slot keeps, so the
+    next contract at the same (alpha, mu, tau, refine), whatever its spot,
+    strike or rate, gets the same grid back and takes no phase sum.
     """
     if not (0 <= refine <= _MAX_REFINE):
         raise ValueError(f"refine must be in [0, {_MAX_REFINE}], got {refine!r}")

@@ -289,6 +289,49 @@ class TestCompareCommand:
         assert row["prices"] == [None]
         assert row["notes"][0]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_a_price_its_estimate_does_not_bound_is_a_failed_cell(self, capsys, fmt):
+        # At alpha = 1.01 the series returns 648291.59 at S = 3800 and
+        # 490026.81 at S = 4200, with estimates of 9.1e6 and 7.0e6.
+        code, out, _ = run_main(
+            capsys,
+            ["compare", "--spots", "3800,4200", "--alphas", "1.7,1.01", "--engines",
+             "series,gilpelaez", "--format", fmt],
+        )
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            series = [row for row in rows if row["engine"] == "series"]
+            for row in series:
+                assert row["prices"][0] is not None and row["notes"][0] == ""
+                assert row["prices"][1] is None
+                estimate = float(row["notes"][1].split()[2])
+                assert estimate > 1e6
+                assert row["notes"][1].startswith(f"error estimate {estimate:.3e} is not below")
+            # Gil-Pelaez prices alpha = 1.01 with an estimate below 1e-9.
+            fourier = [row for row in rows if row["engine"] == "gilpelaez"]
+            assert all(None not in row["prices"] for row in fourier)
+        elif fmt == "csv":
+            cells = [line.split(",") for line in out.strip().splitlines()[1:]]
+            for _, engine, alpha, price in cells:
+                assert (price == "") == (engine == "series" and float(alpha) == 1.01)
+        else:
+            for line in out.strip().splitlines()[1:]:
+                _, engine, at_1_7, at_1_01 = line.split()
+                assert at_1_7 != "err"
+                assert (at_1_01 == "err") == (engine == "series")
+
+    def test_an_exact_zero_price_stays_a_price(self, capsys):
+        # Black-Scholes returns 0.0 with an estimate of 0 far out of the money.
+        code, out, _ = run_main(
+            capsys,
+            ["compare", "--spots", "1", "--alphas", "2.0", "--engines", "bs", "--format",
+             "json"],
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row == {"spot": 1.0, "engine": "bs", "prices": [0.0], "notes": [""]}
+
     def test_black_scholes_cell_checks_alpha(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -343,11 +386,20 @@ class TestCompareCommand:
                 prices, notes = [], []
                 for alpha in alphas:
                     try:
-                        prices.append(price_once(engine, spec, alpha).price)
-                        notes.append("")
+                        result = price_once(engine, spec, alpha)
                     except (ValueError, ArithmeticError) as exc:
                         prices.append(None)
                         notes.append(str(exc))
+                        continue
+                    if result.error_estimate < result.price or result.error_estimate == 0.0:
+                        prices.append(result.price)
+                        notes.append("")
+                    else:  # a vacuous price: the series at alpha = 1.01
+                        prices.append(None)
+                        notes.append(
+                            f"error estimate {result.error_estimate:.3e} is not "
+                            f"below the price {result.price:.6g}"
+                        )
                 rows.append({"spot": spot, "engine": engine, "prices": prices, "notes": notes})
         assert out == json.dumps({"alphas": alphas, "rows": rows}) + "\n"
 

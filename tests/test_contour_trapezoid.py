@@ -1,7 +1,7 @@
 """Contour trapezoid: the nested transform against per-level re-evaluation,
-its work, the per-thread slot that keeps the last alpha's contour, the
-blocked phase sum against the direct one, and the negative-branch ratio
-against its four-Gamma form."""
+its work, the per-thread slot that keeps the last alpha's contour and the
+last model's density grids, the blocked phase sum against the direct one,
+and the negative-branch ratio against its four-Gamma form."""
 
 import itertools
 import math
@@ -324,6 +324,123 @@ def test_threads_pricing_concurrently_match_the_serial_prices():
     assert not any(thread.is_alive() for thread in threads)
     for start in starts:
         assert got[start] == (serial[start:] + serial[:start]) * 2
+
+
+def _count_density_calls(monkeypatch):
+    calls = []
+    density = greens.stable_density_values
+
+    def counting(x, alpha, c1=None):
+        calls.append(np.size(x))
+        return density(x, alpha, c1)
+
+    monkeypatch.setattr(greens, "stable_density_values", counting)
+    return calls
+
+
+def _price(alpha, spot=3800.0, strike=4000.0, rate=0.01, sigma=0.2, tau=1.0, refine=0):
+    spec = OptionSpec(spot=spot, strike=strike, rate=rate, sigma=sigma, tau=tau)
+    return greens.discretized_price(StableModel.from_spec(spec, alpha), spec, refine)
+
+
+@pytest.mark.parametrize("refine", [0, 1, 2])
+def test_every_contract_of_one_model_prices_from_the_kept_grids(monkeypatch, refine):
+    # The grid depends on (alpha, sigma, tau) only: after one price, another
+    # spot, strike or rate takes no density call, and prices bit for bit as
+    # on a cold slot.
+    calls = _count_density_calls(monkeypatch)
+    for alpha, spot in _PAPER_CELLS:
+        base = dict(spot=spot, refine=refine)
+        others = [
+            dict(base, spot=8000.0 - spot),
+            dict(base, strike=3900.0),
+            dict(base, rate=0.05),
+        ]
+        cold = []
+        for contract in others:
+            vars(greens._SLOT).clear()
+            cold.append(_price(alpha, **contract))
+        vars(greens._SLOT).clear()
+        calls.clear()
+        _price(alpha, **base)
+        assert calls
+        calls.clear()
+        assert [_price(alpha, **contract) for contract in others] == cold
+        assert calls == []
+
+
+def test_a_new_model_builds_new_grids_and_keeps_only_them(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
+    gammas, _ = _count_kernels(monkeypatch)
+    _price(1.5)
+    # A new sigma or tau at the same alpha reads the kept contour; a new
+    # alpha evaluates its own.
+    for change in (dict(sigma=0.25), dict(tau=0.5), dict(alpha=1.6), dict(alpha=1.8)):
+        calls.clear()
+        gammas.clear()
+        model = dict(dict(alpha=1.5, sigma=0.2, tau=1.0), **change)
+        result = _price(**model)
+        assert calls
+        assert bool(gammas) == ("alpha" in change)
+        spec = OptionSpec(
+            spot=3800.0, strike=4000.0, rate=0.01, sigma=model["sigma"], tau=model["tau"]
+        )
+        m = StableModel.from_spec(spec, model["alpha"])
+        assert greens._SLOT.grid_model == (m.alpha, m.mu, spec.tau, 141)
+        # One grid per width, the widest the price's.
+        scale = (-m.mu * spec.tau) ** (1.0 / m.alpha)
+        widths = [y_max / scale for _, y_max in greens._SLOT.grids]
+        assert widths == pytest.approx([11.0 * 1.5**k for k in range(len(widths))], rel=1e-14)
+        assert widths[-1] == pytest.approx(result.diagnostics["half_width"], rel=1e-15)
+
+
+def test_an_explicit_c1_grid_is_not_kept(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
+    model, spec = _paper_model(1.7)
+    own = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201, c1=0.3)
+    assert not vars(greens._SLOT).get("grids")
+    kept = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201)
+    assert list(greens._SLOT.grids.values()) == [kept]
+    calls.clear()
+    again = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201, c1=0.3)
+    assert calls == [201]  # built afresh
+    assert again is not own
+    np.testing.assert_array_equal(again.values, own.values)
+    own.values[0] = 0.0  # an explicit c1 grid is the caller's own
+    assert list(greens._SLOT.grids.values()) == [kept]
+    assert greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201) is kept
+
+
+def test_a_kept_grid_is_read_only():
+    model, spec = _paper_model(1.7)
+    grid = greens.default_pricing_grid(model, spec)
+    assert grid is greens.default_pricing_grid(model, spec)
+    before = grid.values.copy()
+    with pytest.raises(ValueError):
+        grid.values[0] = 1.0
+    with pytest.raises(ValueError):
+        grid.values *= 2.0
+    np.testing.assert_array_equal(grid.values, before)
+    assert _paper_price(1.7, 3800.0) == _paper_price(1.7, 3800.0)
+
+
+def test_the_slot_keeps_the_last_four_widths(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
+    model, spec = _paper_model(2.0)
+    scale = (-model.mu * spec.tau) ** (1.0 / model.alpha)
+
+    def build(width):
+        return greens.build_density_grid(
+            model.alpha, model.mu, spec.tau, -width * scale, width * scale, 141
+        )
+
+    grids = [build(width) for width in (6.0, 8.0, 10.0, 12.0, 14.0)]
+    assert list(greens._SLOT.grids.values()) == grids[1:]
+    calls.clear()
+    assert all(build(width) is grid for width, grid in zip((8.0, 10.0, 12.0, 14.0), grids[1:]))
+    assert calls == []
+    assert build(6.0) is not grids[0]  # the oldest was dropped
+    assert calls == [141]
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.7])
