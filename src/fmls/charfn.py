@@ -27,7 +27,6 @@ the cut (``tail_bound``) is added to the error estimate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable
 
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import QuadratureError
 from .model import OptionSpec, PricingResult, StableModel, log_moneyness
 
-__all__ = ["char_fn", "gil_pelaez_price"]
+__all__ = ["gil_pelaez_price"]
 
 # Largest damping: past it the exponent's terms cancel and lose the price.
 _MAX_DAMPING = 50.0
@@ -83,23 +82,6 @@ _WG_HALF = [
 _XGK = np.array([-x for x in _X_HALF[:0:-1]] + _X_HALF)
 _WGK = np.array(_WGK_HALF[:0:-1] + _WGK_HALF)
 _WG = np.array(_WG_HALF[:0:-1] + _WG_HALF)
-
-
-def char_fn(u: complex, mu: float, tau: float, alpha: float) -> complex:
-    """phi(u) = exp(mu*tau*(iu - (iu)^alpha)), principal branch.
-
-    Raises ``OverflowError`` if the exponent leaves the representable range.
-    """
-    u = complex(u)
-    if not (math.isfinite(u.real) and math.isfinite(u.imag)):
-        raise ValueError(f"char_fn requires finite u, got {u!r}")
-    iu = 1j * u
-    if iu == 0:
-        return 1.0 + 0.0j
-    z = mu * tau * (iu - iu**alpha)
-    if z.real > 709.0:
-        raise OverflowError(f"char_fn exponent overflow at u={u!r}")
-    return cmath.exp(z)
 
 
 def _damping(k: float, mu_tau: float, alpha: float) -> float:

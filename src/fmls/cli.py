@@ -191,7 +191,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
         y_min=args.ymin,
         y_max=args.ymax,
         n_points=args.points,
-        c1=args.c1,
     )
     edge = leaking_edge(grid, args.alpha, mu, args.tau)
     if edge is not None:
@@ -291,11 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ymin", type=float, default=None)
     p.add_argument("--ymax", type=float, default=None)
     p.add_argument("--points", type=int, default=4001)
-    p.add_argument(
-        "--c1", type=float, default=None,
-        help="abscissa in (-alpha, 1) of the Mellin-Barnes contour "
-        "(default: the engine's own, (1 - alpha)/2)",
-    )
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser(

@@ -30,18 +30,18 @@ and each branch keeps the ratios of its levels.  A per-thread slot keeps
 the default contours (c1 = (1 - alpha)/2 and 0.5) of the last alpha seen,
 so calls at one alpha, every grid of a price and the prices after it,
 evaluate each contour node once between them.  The slot also keeps the
-default-contour grids of the last (alpha, mu, tau, n_points) built, up to
-four widths.  A grid depends on neither spot, strike nor rate, so after
-the first price of one model and maturity, every other contract reads the
-kept grids and takes no phase sum.  Each run of new nodes
-costs one call to each kernel: one log-Gamma call takes 1 - t and
-1 - t/alpha together, one log-sine call rho*t and t/alpha.  A paper price
-on a cold slot makes three runs: the probe's first 32 nodes, its
-extrapolated run and the one halving.  The oscillatory sum is taken in
-real arithmetic, by angle addition over blocks of evenly spaced nodes:
-cosines and sines of about 2*sqrt(N) phases per point instead of N; the
-first level and the first halving share one set of tables.  Gamma ratios
-are assembled in log space (direct products overflow for moderate |y|).
+grids of the last (alpha, mu, tau, n_points) built, up to four widths.  A
+grid depends on neither spot, strike nor rate, so after the first price of
+one model and maturity, every other contract reads the kept grids and
+takes no phase sum.  Each run of new nodes costs one call to each kernel:
+one log-Gamma call takes 1 - t and 1 - t/alpha together, one log-sine call
+rho*t and t/alpha.  A paper price on a cold slot makes three runs: the
+probe's first 32 nodes, its extrapolated run and the one halving.  The
+oscillatory sum is taken in real arithmetic, by angle addition over blocks
+of evenly spaced nodes: cosines and sines of about 2*sqrt(N) phases per
+point instead of N; the first level and the first halving share one set of
+tables.  Gamma ratios are assembled in log space (direct products overflow
+for moderate |y|).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import threading
 import numpy as np
 
 from .errors import QuadratureError
-from .model import OptionSpec, PricingResult, StableModel, _Record
+from .model import OptionSpec, PricingResult, StableModel, _Record, _require_alpha
 from .special_functions import (
     LANCZOS_G,
     LOG_PI,
@@ -254,8 +254,8 @@ class _Contour:
 
 
 # Per thread: the last alpha seen and its default contours, keyed by c1;
-# and the default-contour grids of the last (alpha, mu, tau, n_points)
-# built, keyed by their bounds: at most _KEPT_GRIDS of them, read-only.
+# and the grids of the last (alpha, mu, tau, n_points) built, keyed by
+# their bounds: at most _KEPT_GRIDS of them, read-only.
 _SLOT = threading.local()
 _KEPT_GRIDS = 4  # a pricing grid's widths: its first and three widenings
 
@@ -465,8 +465,7 @@ def stable_density_values(
     alpha evaluate each contour node once between them.  An explicit ``c1``
     evaluates a contour of its own, which is not kept.
     """
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
+    alpha = _require_alpha(alpha)
     default = c1 is None
     c1 = 0.5 * (1.0 - alpha) if default else c1
     if not (-alpha < c1 < 1.0):
@@ -559,21 +558,20 @@ def build_density_grid(
     y_min: float | None = None,
     y_max: float | None = None,
     n_points: int = 4001,
-    c1: float | None = None,
 ) -> DensityGrid:
-    """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha).
+    """Sample (1/scale) * g(y/scale) on a uniform y grid, scale = (-mu*tau)^(1/alpha),
+    on the default contours of :func:`stable_density_values`.
 
-    Default bounds are +/- 12 scale units; ``c1`` is the contour abscissa
-    of :func:`stable_density_values`, in (-alpha, 1), or ``None`` for its
-    default.  The values are not renormalized; :func:`leaking_edge` tells
-    whether the bounds cut off visible tail mass.
+    Default bounds are +/- 12 scale units.  The values are not
+    renormalized; :func:`leaking_edge` tells whether the bounds cut off
+    visible tail mass.
 
-    A grid on the default contour is kept in this thread's slot, and the
-    same call again returns it, not a copy: its ``values`` are read-only.
-    The slot holds the grids of one (alpha, mu, tau, n_points), the last
-    four bounds built; another model empties it.  An explicit ``c1`` grid
-    is built afresh and not kept.
+    Each grid is kept in this thread's slot, and the same call again
+    returns it, not a copy: its ``values`` are read-only.  The slot holds
+    the grids of one (alpha, mu, tau, n_points), the last four bounds
+    built; another model empties it.
     """
+    alpha = _require_alpha(alpha)
     if not (mu < 0.0 and tau > 0.0):
         raise ValueError("need mu < 0 and tau > 0")
     if n_points < 3:
@@ -586,17 +584,16 @@ def build_density_grid(
     if not (math.isfinite(y_min) and math.isfinite(y_max) and y_max > y_min):
         raise ValueError(f"need finite y_min < y_max, got {y_min!r}, {y_max!r}")
     bounds = float(y_min), float(y_max)
-    kept = {} if c1 is not None else _slot_grids(alpha, mu, tau, n_points)
+    kept = _slot_grids(alpha, mu, tau, n_points)
     if bounds in kept:
         return kept[bounds]
     ys = np.linspace(y_min, y_max, n_points)
-    values = stable_density_values(ys / scale, alpha, c1) / scale
+    values = stable_density_values(ys / scale, alpha) / scale
+    values.setflags(write=False)
     grid = DensityGrid(*bounds, n_points=n_points, values=values)
-    if c1 is None:
-        values.setflags(write=False)
-        if len(kept) == _KEPT_GRIDS:
-            del kept[next(iter(kept))]  # the oldest
-        kept[bounds] = grid
+    if len(kept) == _KEPT_GRIDS:
+        del kept[next(iter(kept))]  # the oldest
+    kept[bounds] = grid
     return grid
 
 
@@ -605,6 +602,7 @@ def leaking_edge(grid: DensityGrid, alpha: float, mu: float, tau: float) -> floa
     grid of (alpha, mu, tau) when it exceeds ``DEFAULT_BOUNDARY_TOL``, so
     that the grid cuts off visible tail mass (heavy left tails at low
     alpha); ``None`` when neither edge leaks."""
+    alpha = _require_alpha(alpha)
     scale = (-mu * tau) ** (1.0 / alpha)
     edge = max(grid.values[0], grid.values[-1]) * scale
     return float(edge) if edge > DEFAULT_BOUNDARY_TOL else None

@@ -47,8 +47,27 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_alpha(alpha: float) -> float:
+    """The stability index as a float in (1, 2]; NaN and infinities fail."""
+    alpha = float(alpha)
+    if not (1.0 + _ALPHA_EDGE < alpha <= 2.0):
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
+    return alpha
+
+
 # Stores a slot past the records' own __setattr__, which always raises.
 _set_field = object.__setattr__
+
+
+def _same(x: object, y: object) -> bool:
+    """Whether two field values are equal; arrays (anything with a
+    ``shape``) are equal when their shapes and all their elements are."""
+    if x is y:
+        return True
+    if getattr(x, "shape", ()) != getattr(y, "shape", ()):
+        return False
+    equal = x == y
+    return bool(equal.all() if hasattr(equal, "all") else equal)
 
 
 class _Record:
@@ -56,7 +75,8 @@ class _Record:
     constructor order, in ``__slots__`` and stores them with :meth:`_store`.
 
     Equality, hash, ``repr``, copying and pickling go by the field values in
-    that order; a record holding a dict or an array is unhashable.
+    that order, arrays by value; a record holding a dict or an array is
+    unhashable.
     """
 
     __slots__ = ()
@@ -76,7 +96,7 @@ class _Record:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return all(map(_same, self._values(), other._values()))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -118,9 +138,7 @@ def martingale_drift(sigma: float, alpha: float) -> float:
     gives exactly -sigma**2/2.
     """
     sigma = _require_positive("sigma", sigma)
-    alpha = _require_finite("alpha", alpha)
-    if alpha <= 1.0 + _ALPHA_EDGE or alpha > 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
+    alpha = _require_alpha(alpha)
     return (sigma / math.sqrt(2.0)) ** alpha / math.cos(math.pi * alpha / 2.0)
 
 
@@ -136,10 +154,8 @@ class StableModel(_Record):
     __slots__ = ("alpha", "mu")
 
     def __init__(self, alpha: float, mu: float) -> None:
-        alpha = _require_finite("alpha", alpha)
+        alpha = _require_alpha(alpha)
         mu = _require_finite("mu", mu)
-        if alpha <= 1.0 + _ALPHA_EDGE or alpha > 2.0:
-            raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
         if mu >= 0.0:
             raise ValueError(f"mu must be negative on alpha in (1, 2], got {mu!r}")
         self._store(alpha, mu)

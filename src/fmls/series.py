@@ -118,21 +118,19 @@ def _columns(
     the running total includes every column yielded so far.  ``moments`` are
     the running sums of m*t, m(m-1)*t, n*t, n(m-1)*t and n(n-1)*t over the
     same terms, the weights :func:`_sigma_derivatives` reads.  A column's
-    plain sum is the step of the running total.  Past the first column, its
-    n-weights cost no pass over its terms: n*t(n, m) = -base*t(n-1, m-1),
-    since the two terms share their Gamma argument and power of x.
+    plain sum is the step of the running total; its n-weights are summed in
+    the same loop over its terms.
     """
     if not (0 <= n_max <= _INDEX_CAP):
         raise ValueError(f"n_max must be in [0, {_INDEX_CAP}], got {n_max}")
     if not (1 <= m_max <= _INDEX_CAP):
         raise ValueError(f"m_max must be in [1, {_INDEX_CAP}], got {m_max}")
-    base = -log_moneyness(spec) - model.mu * spec.tau
     total = 0.0
     comp = 0.0
     m1 = mm = n1 = nm = nn = 0.0
     for m in range(1, m_max + 1):
         terms = []
-        col_abs = 0.0
+        col_abs = col_n = col_nn = 0.0
         start = total
         for n in range(n_max + 1):
             t = series_term(model, spec, n, m)
@@ -141,20 +139,11 @@ def _columns(
             comp = (s - total) - y
             total = s
             col_abs += abs(t)
+            nt = n * t
+            col_n += nt
+            col_nn += (n - 1) * nt
             terms.append(t)
         col_sum = total - start
-        if m == 1:
-            col_n = col_nn = 0.0
-            for n, t in enumerate(terms):
-                nt = n * t
-                col_n += nt
-                col_nn += (n - 1) * nt
-        else:
-            # The previous column's sums of t and (n-1)*t over its rows
-            # 0..n_max-1, each shifted down one row and times -base.
-            col_n = -base * (prev_sum - prev_last)
-            col_nn = -base * (prev_n - n_max * prev_last)
-        prev_sum, prev_n, prev_last = col_sum, col_n, terms[-1]
         m1 += m * col_sum
         mm += m * (m - 1) * col_sum
         n1 += col_n

@@ -8,15 +8,20 @@
 - The Cahen-Mellin identity exp(-x) = (1/2 pi i) int Gamma(s) x^{-s} ds
   along Re(s) = c, evaluated by the density's contour transform.
 
+The characteristic function the Fourier engine inverts is read off that
+engine's own exponent, so its checks test the formula the engine runs.
+
 No engine calls these; they check the library, so every piece that is not
 one of the paper's own formulas is the library's code.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from fmls.bs import bs_price
+from fmls.charfn import _exponent
 from fmls.greens import _half_line_transform, _loggamma_vec
 from fmls.model import OptionSpec, StableModel
 from fmls.series import series_term
@@ -124,3 +129,18 @@ def cahen_mellin_exp(x: float, c: float) -> float:
         prefactor=x**-c / math.pi,
     )[0]
     return float(val)
+
+
+def char_fn(u: complex, mu: float, tau: float, alpha: float) -> complex:
+    """phi(u) = exp(mu*tau*(iu - (iu)^alpha)), principal branch.
+
+    The exponent is the Fourier engine's z = mu*tau*(w - w^alpha) at
+    w = iu = a + 1 + i*Re(u), so a = -Im(u) - 1, with k = 0.  Raises
+    ``ValueError`` for a non-finite u and ``OverflowError`` if the exponent
+    leaves the representable range.
+    """
+    u = complex(u)
+    if not (math.isfinite(u.real) and math.isfinite(u.imag)):
+        raise ValueError(f"char_fn requires finite u, got {u!r}")
+    re, im = _exponent(u.real, -u.imag - 1.0, 0.0, mu * tau, alpha)
+    return cmath.exp(complex(re, im))

@@ -23,10 +23,10 @@ from golden import (
     TABLE2_SLACK,
     TABLE2_TERMS,
 )
-from paper_checks import atmf_bs_series, bs_atmf_price, cahen_mellin_exp
+from paper_checks import atmf_bs_series, bs_atmf_price, cahen_mellin_exp, char_fn
 
 from fmls.bs import bs_price
-from fmls.charfn import char_fn, gil_pelaez_price
+from fmls.charfn import gil_pelaez_price
 from fmls.greens import discretized_price, stable_density_values
 from fmls.model import OptionSpec, StableModel, martingale_drift
 from fmls.series import (

@@ -17,10 +17,11 @@ from golden import (
     GIL_PELAEZ_ROW_ITM,
     GIL_PELAEZ_ROW_OTM,
 )
+from paper_checks import char_fn
 
 from fmls.bs import bs_price
 from fmls import charfn
-from fmls.charfn import adaptive_gauss_kronrod, char_fn, gil_pelaez_price
+from fmls.charfn import adaptive_gauss_kronrod, gil_pelaez_price
 from fmls.errors import NumericalError, QuadratureError
 from fmls.model import OptionSpec, StableModel, log_moneyness, martingale_drift
 from fmls.series import price_series

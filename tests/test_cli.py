@@ -464,14 +464,6 @@ class TestDensityCommand:
             assert out == ""
             assert "n_points" in err
 
-    def test_contour_flag(self, capsys):
-        code1, out1, _ = run_main(capsys, self.DENSITY_ARGS + ["--points", "11", "--c1", "0.4"])
-        code2, out2, _ = run_main(capsys, self.DENSITY_ARGS + ["--points", "11", "--c1", "0.6"])
-        assert code1 == code2 == 0
-        a = np.array([float(l.split(",")[1]) for l in out1.strip().splitlines()[1:]])
-        b = np.array([float(l.split(",")[1]) for l in out2.strip().splitlines()[1:]])
-        assert float(np.max(np.abs(a - b))) <= 1e-8
-
 
 class TestImpliedVolCommand:
     def test_round_trip(self, capsys):

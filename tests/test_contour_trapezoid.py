@@ -394,23 +394,6 @@ def test_a_new_model_builds_new_grids_and_keeps_only_them(monkeypatch):
         assert widths[-1] == pytest.approx(result.diagnostics["half_width"], rel=1e-15)
 
 
-def test_an_explicit_c1_grid_is_not_kept(monkeypatch):
-    calls = _count_density_calls(monkeypatch)
-    model, spec = _paper_model(1.7)
-    own = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201, c1=0.3)
-    assert not vars(greens._SLOT).get("grids")
-    kept = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201)
-    assert list(greens._SLOT.grids.values()) == [kept]
-    calls.clear()
-    again = greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201, c1=0.3)
-    assert calls == [201]  # built afresh
-    assert again is not own
-    np.testing.assert_array_equal(again.values, own.values)
-    own.values[0] = 0.0  # an explicit c1 grid is the caller's own
-    assert list(greens._SLOT.grids.values()) == [kept]
-    assert greens.build_density_grid(model.alpha, model.mu, spec.tau, n_points=201) is kept
-
-
 def test_a_kept_grid_is_read_only():
     model, spec = _paper_model(1.7)
     grid = greens.default_pricing_grid(model, spec)

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 import fmls
 from fmls.bs import bs_price
 from fmls.charfn import gil_pelaez_price
-from fmls.greens import DensityGrid, discretized_price
+from fmls.greens import (
+    DensityGrid,
+    build_density_grid,
+    discretized_price,
+    leaking_edge,
+    stable_density_values,
+)
 from fmls.model import (
     OptionSpec,
     PricingResult,
@@ -160,6 +166,22 @@ class TestStableModel:
         assert price_series(model, spec) == price_series(StableModel(1.7, -0.01), spec)
 
 
+@pytest.mark.parametrize(
+    "alpha", [0.0, -1.0, 1.0, 1.0 + 1e-12, 2.0 + 1e-12, math.nan, math.inf]
+)
+def test_every_entry_point_keeps_one_alpha_rule(alpha):
+    grid = DensityGrid(-1.0, 1.0, 3, np.array([0.1, 0.4, 0.1]))
+    for call in (
+        lambda: martingale_drift(0.2, alpha),
+        lambda: StableModel(alpha, -0.02),
+        lambda: stable_density_values(0.5, alpha),
+        lambda: build_density_grid(alpha, -0.01, 1.0),
+        lambda: leaking_edge(grid, alpha, -0.01, 1.0),
+    ):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1, 2\]"):
+            call()
+
+
 def outcome(engine, model: StableModel, spec: OptionSpec):
     """Everything a pricing call returns, or the class of what it raised."""
     try:
@@ -246,6 +268,11 @@ RECORDS = [
 HASHABLE = (OptionSpec, StableModel)
 
 
+def copies(values) -> list:
+    """``values`` with each array or dict replaced by an equal copy."""
+    return [v.copy() if isinstance(v, (np.ndarray, dict)) else v for v in values]
+
+
 def same_fields(record, names, values) -> bool:
     """Whether ``record`` holds ``values``, arrays compared elementwise."""
     return all(
@@ -274,7 +301,7 @@ class TestRecordSemantics:
 
     def test_equality_and_hash_by_value(self, cls, names, values):
         record = cls(*values)
-        assert record == cls(*values)
+        assert record == cls(*copies(values))
         assert record != object()
         if cls in HASHABLE:
             assert hash(record) == hash(cls(*values))
@@ -284,6 +311,12 @@ class TestRecordSemantics:
         else:
             with pytest.raises(TypeError):
                 hash(record)
+            changed = copies(values)
+            if cls is PricingResult:
+                changed[-1]["columns_used"] += 1
+            else:
+                changed[-1].flat[0] += 1.0  # one element of the last array
+            assert record != cls(*changed)
 
     def test_fields_can_be_neither_assigned_nor_deleted(self, cls, names, values):
         record = cls(*values)
@@ -304,6 +337,16 @@ class TestRecordSemantics:
         for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(clone) is cls
             assert same_fields(clone, names, values)
+            assert clone == record
+
+
+def test_arrays_of_another_shape_compare_unequal():
+    # Neither raises, whether numpy would broadcast the pair or refuse it.
+    table = SeriesTable(TABLE_TERMS, TABLE_SUMS)
+    assert table != SeriesTable(TABLE_TERMS.ravel(), TABLE_SUMS)
+    assert table != SeriesTable(TABLE_TERMS, TABLE_SUMS[:1])
+    grid = DensityGrid(-1.0, 1.0, 3, GRID_VALUES)
+    assert grid != DensityGrid(-1.0, 1.0, 3, GRID_VALUES.reshape(3, 1))
 
 
 def test_repr_of_a_contract():
